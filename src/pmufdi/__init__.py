@@ -43,7 +43,6 @@ from .kernels import (
     SolverOptions,
     l12_norm,
     nuclear_norm,
-    ridge_least_squares,
     shrink_columns,
     svt,
 )

@@ -8,20 +8,13 @@ minimizes the nuclear norm of the post-attack block
 where Hn is the row-normalized dependency matrix. The support constraint
 is made exact by optimizing only over W, the columns of C in I, so the
 problem reduces to an unconstrained minimize_W ||Z + W G||_* with G the
-corresponding rows of Hn^T. That is solved by ADMM on the splitting
-M = Z + W G:
-
-    M-step:  singular value soft-thresholding of  Z + W G - U
-    W-step:  least squares  min_W || W G - (M - Z + U) ||_F
-    dual:    U += M - Z - W G
-
-Both residuals must drop below tol_abs + tol_rel * ||Z||_F to stop; the
-penalty is rebalanced by doubling/halving when the residuals drift apart.
+corresponding rows of Hn^T. With M = Z + W G this is the shared ADMM
+driver's problem (see :mod:`pmufdi.kernels`) with f = 0 and A(W) = -W G,
+so the x-step is the least-squares fit  min_W || W G - (M - Z + U) ||_F.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +27,11 @@ from .kernels import (
     SolverDiagnostics,
     SolverError,
     SolverOptions,
+    _admm,
     nuclear_norm,
     svt,
 )
 from .measurements import DependencyMatrix
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -66,12 +58,8 @@ def design_attack(
     :class:`SolverError` when the ADMM iteration exhausts its budget.
     """
     opts = options or SolverOptions()
+    block.check_dependency(dep)
     z = block.z
-    if z.shape[1] != dep.n_measurements:
-        raise ValueError(
-            f"block has {z.shape[1]} channels but the dependency matrix has "
-            f"{dep.n_measurements} rows"
-        )
     attacked = tuple(sorted(set(int(b) for b in attacked_buses)))
     baseline = nuclear_norm(z)
 
@@ -106,15 +94,6 @@ def design_attack(
 def _minimize_postattack_norm(
     z: np.ndarray, g: np.ndarray, opts: SolverOptions
 ) -> tuple[np.ndarray, SolverDiagnostics]:
-    n, k = z.shape[0], g.shape[0]
-    scale = float(np.linalg.norm(z))
-    if scale == 0.0:
-        return np.zeros((n, k), dtype=complex), SolverDiagnostics(0, 0.0, 0.0, opts.rho, True)
-    # the objective is positively homogeneous, so solve on unit-Frobenius
-    # data and rescale; this keeps the penalty scale data-independent
-    z = z / scale
-    tol = opts.tol_abs / scale + opts.tol_rel
-
     # the image {W G} is the row space of G, so W may be reparametrized
     # against an orthonormal basis Q of that space (G = R^H Q); the
     # constraint then involves an isometry, which makes the iteration
@@ -126,47 +105,16 @@ def _minimize_postattack_norm(
     q = q_cols.conj().T                     # (k, n_z), orthonormal rows
     ls = RidgeSolver(q, 0.0)
 
-    rho = opts.rho
-    # never let the threshold 1/rho reach sigma_1, or the svt step would
-    # annihilate the low-rank iterate and the iteration stalls
-    lo, hi = opts.rho_bounds()
-    lo = max(lo, 1.5 / float(np.linalg.svd(z, compute_uv=False)[0]))
+    def step(wq, target, rho, tol):
+        # A(W_q) = -W_q Q, so the fit is W_q Q = -target = M - Z + U
+        wq = ls.solve(-target)
+        return wq, -(wq @ q)
 
-    wq = np.zeros((n, k), dtype=complex)
-    wqq = np.zeros_like(z)
-    u = np.zeros_like(z)
-    primal = dual = np.inf
-
-    for it in range(1, opts.max_iter + 1):
-        m = svt(z + wqq - u, 1.0 / rho)
-        wq_new = ls.solve(m - z + u)
-        wqq_new = wq_new @ q
-        r = m - z - wqq_new
-        u = u + r
-        primal = float(np.linalg.norm(r))
-        dual = float(rho * np.linalg.norm(wqq_new - wqq))
-        wq, wqq = wq_new, wqq_new
-        if not np.isfinite(primal) or not np.isfinite(dual):
-            raise SolverError("attack design diverged", primal, dual, it)
-        if opts.verbose and it % 100 == 0:
-            log.debug("attack admm it=%d primal=%.3e dual=%.3e rho=%.2g",
-                      it, primal, dual, rho)
-        if primal < tol and dual < tol:
-            # undo the reparameterization: W R^H = W_q
-            w = scipy.linalg.solve_triangular(r_tri, wq.conj().T, lower=False).conj().T
-            return w * scale, SolverDiagnostics(
-                it, primal * scale, dual * scale, rho, True
-            )
-        if opts.adapt_penalty and (opts.adapt_until is None or it <= opts.adapt_until):
-            if primal > opts.residual_gap * dual and rho * 2.0 <= hi:
-                rho *= 2.0
-                u /= 2.0
-            elif dual > opts.residual_gap * primal and rho / 2.0 >= lo:
-                rho /= 2.0
-                u *= 2.0
-
-    raise SolverError("attack design did not converge",
-                      primal * scale, dual * scale, opts.max_iter)
+    wq0 = np.zeros((z.shape[0], g.shape[0]), dtype=complex)
+    _, wq, scale, diag = _admm(z, svt, step, wq0, opts, "attack design")
+    # undo the reparameterization: W R^H = W_q
+    w = scipy.linalg.solve_triangular(r_tri, wq.conj().T, lower=False).conj().T
+    return w * scale, diag
 
 
 def naive_ramp_attack(
@@ -206,8 +154,7 @@ def apply_attack(
             f"attack matrix shape {c.shape} does not match "
             f"({block.n_steps}, {dep.n_states})"
         )
-    if block.z.shape[1] != dep.n_measurements:
-        raise ValueError("block channel count does not match the dependency matrix")
+    block.check_dependency(dep)
     z = block.z + c @ dep.h_normalized.T
     return MeasurementBlock(
         z=z,

@@ -75,6 +75,19 @@ class MeasurementBlock:
     def column(self, label: str) -> np.ndarray:
         return self.z[:, self.labels.index(label)]
 
+    def check_dependency(self, dep: DependencyMatrix) -> None:
+        """Raise ValueError unless the block was measured through *dep*."""
+        if self.n_channels != dep.n_measurements:
+            raise ValueError(
+                f"block has {self.n_channels} channels but the dependency "
+                f"matrix has {dep.n_measurements} rows"
+            )
+        if self.dependency_digest != dep.digest:
+            raise ValueError(
+                f"block dependency digest {self.dependency_digest!r} does not "
+                f"match the dependency matrix digest {dep.digest!r}"
+            )
+
 
 def generate_block(
     case: GridCase,

@@ -44,13 +44,12 @@ def _common_options(fn):
                       help="override the config seed")(fn)
     fn = click.option("--out-dir", type=click.Path(file_okay=False),
                       default=None, help="override the output directory")(fn)
-    fn = click.option("-v", "--verbose", is_flag=True, help="debug logging")(fn)
     return fn
 
 
-def _load(config_path, seed, out_dir, verbose, **more) -> ExperimentConfig:
+def _load(config_path, seed, out_dir, **more) -> ExperimentConfig:
     logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     return load_config(config_path, seed=seed, out_dir=out_dir, **more)
@@ -63,9 +62,9 @@ def main():
 
 @main.command()
 @_common_options
-def generate(config_path, seed, out_dir, verbose):
+def generate(config_path, seed, out_dir):
     """Generate the synthetic block and write block.csv/.npz + spectrum.csv."""
-    cfg = _load(config_path, seed, out_dir, verbose)
+    cfg = _load(config_path, seed, out_dir)
     paths = write_generated_block(cfg, cfg.out_dir)
     for path in paths:
         click.echo(str(path))
@@ -77,9 +76,9 @@ def generate(config_path, seed, out_dir, verbose):
               help="attacked-state set, comma separated bus ids (e.g. 8 or 8,9)")
 @click.option("--window", "window_index", type=int, default=1, show_default=True,
               help="1-based index into the config's detection windows")
-def attack(config_path, seed, out_dir, verbose, buses, window_index):
+def attack(config_path, seed, out_dir, buses, window_index):
     """Design one attack and write the attacked block plus a summary row."""
-    cfg = _load(config_path, seed, out_dir, verbose)
+    cfg = _load(config_path, seed, out_dir)
     bus_ids = tuple(int(b) for b in buses.split(","))
     if not 1 <= window_index <= len(cfg.windows):
         raise click.BadParameter(f"window must be in 1..{len(cfg.windows)}")
@@ -121,9 +120,9 @@ def attack(config_path, seed, out_dir, verbose, buses, window_index):
               help="detector weight (default from config)")
 @click.option("--injected", default=None,
               help="attacked buses actually injected, for outcome labelling")
-def detect_cmd(config_path, seed, out_dir, verbose, block_path, weight, injected):
+def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
     """Run the detector on a stored block and write detection.csv."""
-    cfg = _load(config_path, seed, out_dir, verbose)
+    cfg = _load(config_path, seed, out_dir)
     case, plan = cfg.load_grid()
     dep = build_measurement_matrix(case, plan)
     block = load_block(block_path)
@@ -162,14 +161,14 @@ def detect_cmd(config_path, seed, out_dir, verbose, block_path, weight, injected
               help="cap the number of attacked sets per window")
 @click.option("--workers", type=int, default=None,
               help="scenario worker threads")
-def experiment(config_path, seed, out_dir, verbose, weight, max_set_size,
+def experiment(config_path, seed, out_dir, weight, max_set_size,
                limit, workers):
     """Run the full pipeline and write the report directory.
 
     Exits 2 when any designed attack is flagged strictly inside its
     attacked set, which the design guarantees cannot happen.
     """
-    cfg = _load(config_path, seed, out_dir, verbose,
+    cfg = _load(config_path, seed, out_dir,
                 weight=weight, max_set_size=max_set_size,
                 limit=limit, workers=workers)
     report, timings = run_experiment(cfg)
@@ -187,9 +186,9 @@ def experiment(config_path, seed, out_dir, verbose, weight, max_set_size,
 @_common_options
 @click.option("--lambdas", required=True,
               help="comma-separated detector weights, e.g. 0.5,1.05,2,5")
-def sweep(config_path, seed, out_dir, verbose, lambdas):
+def sweep(config_path, seed, out_dir, lambdas):
     """Detector-weight sweep over fixed designed and naive attacks."""
-    cfg = _load(config_path, seed, out_dir, verbose)
+    cfg = _load(config_path, seed, out_dir)
     weights = [float(w) for w in lambdas.split(",")]
     rows = lambda_sweep(cfg, weights)
     path = write_sweep_csv(rows, cfg.out_dir)

@@ -6,11 +6,12 @@ column-sparse attack term routed through the normalized dependency matrix:
     minimize  || M ||_*  +  weight * || C ||_{1,2}
     subject to  M + C Hn^T = Zbar
 
-solved by ADMM. The M-step is singular value soft-thresholding. The
-C-step is a group-lasso subproblem with a general dictionary, so it has
-no closed form; it is solved by an inner proximal-gradient loop with step
-1/L, L = rho * smax(Hn)^2, warm-started from the previous iterate and run
-to one hundredth of the outer tolerance.
+solved by the shared ADMM driver (see :mod:`pmufdi.kernels`) with
+f = weight * ||C||_{1,2} and A(C) = C Hn^T. The C-step is a group-lasso
+subproblem with a general dictionary, so it has no closed form; it is
+solved by an inner proximal-gradient loop with step 1/L,
+L = rho * smax(Hn)^2, warm-started from the previous iterate and run to
+one hundredth of the outer tolerance.
 
 Support identification thresholds the stored column norms at a relative
 fraction of the largest norm, with an absolute floor so that an
@@ -19,7 +20,6 @@ all-but-zero attack term yields an empty support.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -30,14 +30,13 @@ from .kernels import (
     SolverDiagnostics,
     SolverError,
     SolverOptions,
+    _admm,
     l12_norm,
     nuclear_norm,
     shrink_columns,
     svt,
 )
 from .measurements import DependencyMatrix
-
-log = logging.getLogger(__name__)
 
 _INNER_TOL_FACTOR = 1e-2
 _INNER_MAX_ITER = 200
@@ -95,12 +94,8 @@ def detect(
         raise ValueError(f"weight must be positive, got {weight}")
     opts = options or SolverOptions()
     thresholds = thresholds or ThresholdPolicy()
+    block.check_dependency(dep)
     zbar = block.z
-    if zbar.shape[1] != dep.n_measurements:
-        raise ValueError(
-            f"block has {zbar.shape[1]} channels but the dependency matrix "
-            f"has {dep.n_measurements} rows"
-        )
 
     g = dep.h_normalized.T                   # (n_bus, n_z)
     m, c, diag = _decompose(zbar, g, weight, opts)
@@ -136,59 +131,17 @@ def detect(
 def _decompose(
     zbar: np.ndarray, g: np.ndarray, weight: float, opts: SolverOptions
 ) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
-    n = zbar.shape[0]
-    n_states = g.shape[0]
-    scale = float(np.linalg.norm(zbar))
-    if scale == 0.0:
-        zero_c = np.zeros((n, n_states), dtype=complex)
-        return np.zeros_like(zbar), zero_c, SolverDiagnostics(0, 0.0, 0.0, opts.rho, True)
-    # both objective terms are positively homogeneous, so solve on
-    # unit-Frobenius data and rescale the factors afterwards
-    zbar = zbar / scale
-    tol = opts.tol_abs / scale + opts.tol_rel
-    inner_tol = max(tol * _INNER_TOL_FACTOR, 1e-15)
-    rho = opts.rho
     gh = g.conj().T
     smax2 = float(np.linalg.svd(g, compute_uv=False)[0] ** 2)
-    # keep the svt threshold 1/rho strictly below sigma_1 so the low-rank
-    # iterate cannot be annihilated by a runaway penalty
-    lo, hi = opts.rho_bounds()
-    lo = max(lo, 1.5 / float(np.linalg.svd(zbar, compute_uv=False)[0]))
 
-    c = np.zeros((n, n_states), dtype=complex)
-    cg = np.zeros_like(zbar)
-    u = np.zeros_like(zbar)
-    primal = dual = np.inf
+    def step(c, target, rho, tol):
+        inner_tol = max(tol * _INNER_TOL_FACTOR, 1e-15)
+        c = _group_lasso_step(c, g, gh, target, weight, rho, smax2, inner_tol)
+        return c, c @ g
 
-    for it in range(1, opts.max_iter + 1):
-        m = svt(zbar - cg - u, 1.0 / rho)
-        r_target = zbar - m - u
-        c = _group_lasso_step(c, g, gh, r_target, weight, rho, smax2, inner_tol)
-        cg_new = c @ g
-        r = m + cg_new - zbar
-        u = u + r
-        primal = float(np.linalg.norm(r))
-        dual = float(rho * np.linalg.norm(cg_new - cg))
-        cg = cg_new
-        if not np.isfinite(primal) or not np.isfinite(dual):
-            raise SolverError("detection diverged", primal, dual, it)
-        if opts.verbose and it % 100 == 0:
-            log.debug("detector admm it=%d primal=%.3e dual=%.3e rho=%.2g",
-                      it, primal, dual, rho)
-        if primal < tol and dual < tol:
-            return m * scale, c * scale, SolverDiagnostics(
-                it, primal * scale, dual * scale, rho, True
-            )
-        if opts.adapt_penalty and (opts.adapt_until is None or it <= opts.adapt_until):
-            if primal > opts.residual_gap * dual and rho * 2.0 <= hi:
-                rho *= 2.0
-                u /= 2.0
-            elif dual > opts.residual_gap * primal and rho / 2.0 >= lo:
-                rho /= 2.0
-                u *= 2.0
-
-    raise SolverError("detection did not converge",
-                      primal * scale, dual * scale, opts.max_iter)
+    c0 = np.zeros((zbar.shape[0], g.shape[0]), dtype=complex)
+    m, c, scale, diag = _admm(zbar, svt, step, c0, opts, "detection")
+    return m * scale, c * scale, diag
 
 
 def _group_lasso_step(

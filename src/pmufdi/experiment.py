@@ -148,12 +148,13 @@ def config_from_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentCo
         kwargs["plan"] = _plan_from_mapping(raw.pop("plan"))
     if "windows" in raw:
         kwargs["windows"] = tuple((int(a), int(b)) for a, b in raw.pop("windows"))
-    if "disturbance" in raw:
-        kwargs["disturbance"] = DisturbancePolicy(**raw.pop("disturbance"))
-    if "solver" in raw:
-        kwargs["solver"] = SolverOptions(**raw.pop("solver"))
-    if "thresholds" in raw:
-        kwargs["thresholds"] = ThresholdPolicy(**raw.pop("thresholds"))
+    for key, cls in (("disturbance", DisturbancePolicy), ("solver", SolverOptions),
+                     ("thresholds", ThresholdPolicy)):
+        if key in raw:
+            try:
+                kwargs[key] = cls(**raw.pop(key))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key} section: {exc}") from None
     if "trace" in raw:
         trace = raw.pop("trace")
         kwargs["trace_channel"] = trace.get("channel")

@@ -3,40 +3,53 @@
 All kernels operate on full complex matrices (the data are phasors, and
 stacking real/imaginary parts would change the nuclear norm). SVDs are
 economy-size throughout. Everything here is pure and deterministic.
+
+Both convex programs of the package, the attack design and the detector's
+decomposition, have the form
+
+    minimize_{M, x}  ||M||_*  +  f(x)   subject to  M + A(x) = b
+
+with A linear, and are solved by the scaled ADMM driver :func:`_admm`:
+
+    M-step:  M = svt(b - A(x) - U, 1/rho)
+    x-step:  x = argmin_x f(x) + rho/2 ||M + A(x) - b + U||_F^2
+    dual:    U += M + A(x) - b
+
+Each solver supplies only its x-step. The driver solves on data scaled
+to unit Frobenius norm, stops when both the primal residual
+||M + A(x) - b|| and the dual residual rho ||A(x) - A(x_prev)|| fall
+below tol_abs + tol_rel * ||b||_F, and rebalances the penalty by
+doubling/halving it when one residual exceeds the other tenfold.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import scipy.linalg
 
 
+_RESIDUAL_GAP = 10.0
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Shared ADMM settings for the attack and detection solvers.
+    """Settings of the ADMM driver shared by the attack and the detector.
 
-    Convergence requires both the primal and the dual residual to fall
-    below ``tol_abs + tol_rel * ||data||_F``. The penalty starts at *rho*
-    and, while *adapt_penalty* is set, is doubled/halved whenever one
-    residual exceeds *residual_gap* times the other, within a bounded
-    range of the starting penalty: an uncontrolled downward run feeds
-    back through the scaled dual variable and blows the iterates up,
-    while too low a ceiling leaves residuals parked just above
-    tolerance. *adapt_until* optionally freezes the penalty after that
-    many iterations. Solvers normalize their data to unit Frobenius norm
-    internally, so *rho* refers to the normalized problem; *tol_abs*
-    stays in the data's own units.
+    *rho* is the starting penalty. The driver normalizes the data to unit
+    Frobenius norm, so it refers to the normalized problem; the penalty
+    then adapts within :meth:`rho_bounds`. *max_iter* is the iteration
+    budget, after which :class:`SolverError` is raised. Convergence
+    requires both residuals to fall below ``tol_abs + tol_rel *
+    ||data||_F``, with *tol_abs* in the data's own units.
     """
     max_iter: int = 5000
     tol_rel: float = 1e-7
     tol_abs: float = 0.0
     rho: float = 1.0
-    adapt_penalty: bool = True
-    adapt_until: int | None = None
-    residual_gap: float = 10.0
-    verbose: bool = False
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -47,6 +60,10 @@ class SolverOptions:
             raise ValueError("rho must be positive")
 
     def rho_bounds(self) -> tuple[float, float]:
+        """Range the adapted penalty stays in: an uncontrolled downward
+        run feeds back through the scaled dual variable and blows the
+        iterates up, while too low a ceiling leaves residuals parked just
+        above tolerance."""
         return self.rho / 1024.0, self.rho * 2.0 ** 20
 
 
@@ -70,6 +87,65 @@ class SolverDiagnostics:
     dual_residual: float
     rho: float
     converged: bool
+
+
+def _admm(
+    b: np.ndarray,
+    m_step: Callable[[np.ndarray, float], np.ndarray],
+    x_step: Callable[[Any, np.ndarray, float, float], tuple[Any, np.ndarray]],
+    x0: Any,
+    opts: SolverOptions,
+    what: str,
+) -> tuple[np.ndarray, Any, float, SolverDiagnostics]:
+    """Solve min ||M||_* + f(x) s.t. M + A(x) = b; see the module docstring.
+
+    *m_step(V, tau)* is singular value thresholding; the callers pass the
+    ``svt`` bound in their own module. *x_step(x, target, rho, tol)*
+    minimizes f(x) + rho/2 ||A(x) - target||_F^2 starting from *x* and
+    returns the new x together with A(x); *tol* is the outer tolerance.
+    Returns (M, x, scale, diagnostics) with M and x solving the problem
+    for b / scale, so the caller rescales them; the residuals in the
+    diagnostics, and in a raised :class:`SolverError`, are in data units.
+    Zero data returns (0, x0, 0.0, ...) without iterating.
+    """
+    scale = float(np.linalg.norm(b))
+    if scale == 0.0:
+        return np.zeros_like(b), x0, 0.0, SolverDiagnostics(0, 0.0, 0.0, opts.rho, True)
+    # every objective term is positively homogeneous, so solve on
+    # unit-Frobenius data; this keeps the penalty scale data-independent
+    b = b / scale
+    tol = opts.tol_abs / scale + opts.tol_rel
+    rho = opts.rho
+    # never let the threshold 1/rho reach sigma_1, or the svt step would
+    # annihilate the low-rank iterate and the iteration stalls
+    lo, hi = opts.rho_bounds()
+    lo = max(lo, 1.5 / float(np.linalg.svd(b, compute_uv=False)[0]))
+
+    x = x0
+    ax = np.zeros_like(b)
+    u = np.zeros_like(b)
+    primal = dual = np.inf
+
+    for it in range(1, opts.max_iter + 1):
+        m = m_step(b - ax - u, 1.0 / rho)
+        x, ax_new = x_step(x, b - m - u, rho, tol)
+        r = (m - b) + ax_new
+        u = u + r
+        primal = float(np.linalg.norm(r))
+        dual = float(rho * np.linalg.norm(ax_new - ax))
+        ax = ax_new
+        if not np.isfinite(primal) or not np.isfinite(dual):
+            raise SolverError(f"{what} diverged", primal * scale, dual * scale, it)
+        if primal < tol and dual < tol:
+            return m, x, scale, SolverDiagnostics(it, primal * scale, dual * scale, rho, True)
+        if primal > _RESIDUAL_GAP * dual and rho * 2.0 <= hi:
+            rho *= 2.0
+            u /= 2.0
+        elif dual > _RESIDUAL_GAP * primal and rho / 2.0 >= lo:
+            rho /= 2.0
+            u *= 2.0
+
+    raise SolverError(f"{what} did not converge", primal * scale, dual * scale, opts.max_iter)
 
 
 def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
@@ -158,7 +234,3 @@ class RidgeSolver:
         wh = scipy.linalg.cho_solve(self._cho, self._a @ b.conj().T)
         return wh.conj().T
 
-
-def ridge_least_squares(a: np.ndarray, b: np.ndarray, rho: float = 0.0) -> np.ndarray:
-    """One-shot form of :class:`RidgeSolver`."""
-    return RidgeSolver(a, rho).solve(b)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pmufdi.attack import (
     _minimize_postattack_norm,
 )
 from pmufdi.attack_sets import validate_attack_set
+from pmufdi.detector import detect
 from pmufdi.kernels import SolverOptions, nuclear_norm
 
 from oracles import powell_attack_reference
@@ -116,13 +119,45 @@ def test_induced_support_structural_at_zero_eps(ieee24_case, ieee24_dep):
         induced_measurement_support(c, ieee24_dep, eps=-0.5)
 
 
-def test_nonconvergence_raises_with_residuals(ieee24_blocks):
+def _design(block, dep, options=None):
+    return design_attack(block, dep, (8,), options=options)
+
+
+def _detect(block, dep, options=None):
+    return detect(block, dep, options=options)
+
+
+both_solvers = pytest.mark.parametrize(
+    "solve", [_design, _detect], ids=["design_attack", "detect"])
+
+
+@both_solvers
+def test_nonconvergence_raises_with_residuals(ieee24_blocks, solve):
+    _, block, dep = ieee24_blocks
+    # an attacked window, on which the detector's attack term has moved
+    # by the fifth iteration, so both residuals are positive
+    _, window = naive_ramp_attack(block.window(31, 90), dep, (9,), seed=3)
+    errors = []
+    for factor in (1.0, 10.0):
+        scaled = dataclasses.replace(window, z=factor * window.z)
+        with pytest.raises(SolverError) as err:
+            solve(scaled, dep, options=SolverOptions(max_iter=5))
+        assert err.value.iterations == 5
+        assert err.value.primal > 0 and err.value.dual > 0
+        errors.append(err.value)
+    # residuals are reported in data units, so they scale with the data
+    assert errors[1].primal == pytest.approx(10.0 * errors[0].primal, rel=1e-6)
+    assert errors[1].dual == pytest.approx(10.0 * errors[0].dual, rel=1e-6)
+
+
+@both_solvers
+def test_zero_window_returns_zeros(ieee24_blocks, solve):
     _, block, dep = ieee24_blocks
     window = block.window(31, 90)
-    with pytest.raises(SolverError) as err:
-        design_attack(window, dep, (8,), options=SolverOptions(max_iter=2))
-    assert err.value.primal > 0
-    assert err.value.iterations == 2
+    result = solve(dataclasses.replace(window, z=np.zeros_like(window.z)), dep)
+    assert np.all(result.c == 0)
+    assert result.diagnostics.converged
+    assert result.diagnostics.iterations == 0
 
 
 def test_channel_count_mismatch_rejected(ieee24_blocks, ieee118_dep):

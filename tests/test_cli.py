@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -74,6 +76,20 @@ def test_detect_clean_block(runner, config_path, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "clean" in result.output
+
+
+def test_detect_rejects_foreign_dependency_digest(runner, config_path, tmp_path):
+    runner.invoke(main, ["generate", "--config", str(config_path)])
+    block_csv = tmp_path / "out" / "block.csv"
+    text = block_csv.read_text()
+    digest = re.search(r"^# dependency: (\w+)$", text, re.M).group(1)
+    block_csv.write_text(text.replace(f"# dependency: {digest}", "# dependency: 000000000000"))
+    result = runner.invoke(main, [
+        "detect", "--config", str(config_path), "--block", str(block_csv),
+    ])
+    assert result.exit_code != 0
+    assert "000000000000" in str(result.exception)
+    assert digest in str(result.exception)
 
 
 def test_experiment_exit_zero(runner, config_path, tmp_path):

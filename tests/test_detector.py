@@ -156,3 +156,10 @@ def test_channel_count_mismatch_rejected(ieee24_blocks, ieee118_dep):
     _, block, _ = ieee24_blocks
     with pytest.raises(ValueError, match="channels"):
         detect(block.window(31, 90), ieee118_dep)
+
+
+def test_dependency_digest_mismatch_rejected(ieee24_blocks):
+    _, block, dep = ieee24_blocks
+    forged = dataclasses.replace(block.window(31, 90), dependency_digest="0" * 12)
+    with pytest.raises(ValueError, match=f"'000000000000'.*'{dep.digest}'"):
+        detect(forged, dep)

@@ -74,6 +74,13 @@ def test_config_validation_errors():
         config_from_mapping({"system": "ieee24", "bogus_key": 1})
     with pytest.raises(ConfigError):
         config_from_mapping({"system": "ieee24", "plan": {"from_branches": [1]}})
+    for section, bad in (("solver", {"verbos": True}),
+                         ("solver", {"verbose": True}),
+                         ("solver", {"max_iter": 0}),
+                         ("thresholds", {"relx": 1}),
+                         ("disturbance", {"decay": 0.0})):
+        with pytest.raises(ConfigError, match=section):
+            config_from_mapping({"system": "ieee24", section: bad})
 
 
 def test_window_labels():

@@ -6,7 +6,6 @@ from pmufdi.kernels import (
     SolverOptions,
     l12_norm,
     nuclear_norm,
-    ridge_least_squares,
     shrink_columns,
     svt,
 )
@@ -125,14 +124,14 @@ def test_l12_norm_known_values():
 def test_ridge_identity_dictionary():
     rng = np.random.default_rng(6)
     b = random_complex(rng, (4, 3))
-    w = ridge_least_squares(np.eye(3), b, 0.0)
+    w = RidgeSolver(np.eye(3), 0.0).solve(b)
     assert np.max(np.abs(w - b)) < 1e-12
 
 
 def test_ridge_zero_rhs():
     rng = np.random.default_rng(7)
     a = random_complex(rng, (3, 8))
-    w = ridge_least_squares(a, np.zeros((5, 8)), 0.1)
+    w = RidgeSolver(a, 0.1).solve(np.zeros((5, 8)))
     assert np.max(np.abs(w)) == 0.0
 
 
@@ -141,7 +140,7 @@ def test_ridge_first_order_optimality():
     a = random_complex(rng, (3, 8))
     b = random_complex(rng, (5, 8))
     rho = 0.1
-    w = ridge_least_squares(a, b, rho)
+    w = RidgeSolver(a, rho).solve(b)
     gradient = (w @ a - b) @ a.conj().T + rho * w
     assert np.linalg.norm(gradient) < 1e-9
 
@@ -152,14 +151,14 @@ def test_ridge_cached_factorization_reuse():
     solver = RidgeSolver(a, 0.2)
     for _ in range(3):
         b = random_complex(rng, (4, 8))
-        assert np.allclose(solver.solve(b), ridge_least_squares(a, b, 0.2))
+        assert np.allclose(solver.solve(b), RidgeSolver(a, 0.2).solve(b))
 
 
 def test_ridge_rank_deficient_requires_regularization():
     a = np.vstack([np.ones((1, 4)), np.ones((1, 4))])   # rank 1, 2 rows
     with pytest.raises(np.linalg.LinAlgError):
         RidgeSolver(a, 0.0)
-    w = ridge_least_squares(a, np.ones((2, 4)), 1e-6)
+    w = RidgeSolver(a, 1e-6).solve(np.ones((2, 4)))
     assert np.all(np.isfinite(w))
 
 
