@@ -105,7 +105,7 @@ def _minimize_postattack_norm(
     q = q_cols.conj().T                     # (k, n_z), orthonormal rows
     ls = RidgeSolver(q, 0.0)
 
-    def step(wq, target, rho, tol):
+    def step(wq, target, rho):
         # A(W_q) = -W_q Q, so the fit is W_q Q = -target = M - Z + U
         wq = ls.solve(-target)
         return wq, -(wq @ q)

@@ -120,17 +120,30 @@ class ExperimentConfig:
 
 
 def _plan_from_mapping(m: dict) -> PmuPlan:
-    try:
-        return PmuPlan(
-            voltage_buses=tuple(int(x) for x in m["voltage_buses"]),
-            from_branches=tuple(int(x) for x in m.get("from_branches", ())),
-            to_branches=tuple(int(x) for x in m.get("to_branches", ())),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"plan section missing key {exc}") from None
+    return PmuPlan(
+        voltage_buses=tuple(int(x) for x in m["voltage_buses"]),
+        from_branches=tuple(int(x) for x in m.get("from_branches", ())),
+        to_branches=tuple(int(x) for x in m.get("to_branches", ())),
+    )
+
+
+# config key -> parser of its value into ExperimentConfig keyword arguments
+_SECTIONS = {
+    "lambda": lambda v: {"weight": float(v)},
+    "plan": lambda m: {"plan": _plan_from_mapping(m)},
+    "windows": lambda v: {"windows": tuple((int(a), int(b)) for a, b in v)},
+    "disturbance": lambda m: {"disturbance": DisturbancePolicy(**m)},
+    "solver": lambda m: {"solver": SolverOptions(**m)},
+    "thresholds": lambda m: {"thresholds": ThresholdPolicy(**m)},
+    "trace": lambda m: {"trace_channel": m.get("channel"),
+                        "trace_buses": tuple(int(b) for b in m.get("buses", ()))},
+}
+_MAPPING_SECTIONS = ("plan", "disturbance", "solver", "thresholds", "trace")
 
 
 def config_from_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    """Build a config from a parsed YAML mapping; any malformed value
+    raises :class:`ConfigError` naming its key."""
     raw = dict(raw)
     kwargs: dict = {}
     if "case" in raw:
@@ -142,23 +155,18 @@ def config_from_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentCo
                 "max_set_size", "limit", "workers", "out_dir", "naive_scale"):
         if key in raw:
             kwargs[key] = raw.pop(key)
-    if "lambda" in raw:
-        kwargs["weight"] = float(raw.pop("lambda"))
-    if "plan" in raw:
-        kwargs["plan"] = _plan_from_mapping(raw.pop("plan"))
-    if "windows" in raw:
-        kwargs["windows"] = tuple((int(a), int(b)) for a, b in raw.pop("windows"))
-    for key, cls in (("disturbance", DisturbancePolicy), ("solver", SolverOptions),
-                     ("thresholds", ThresholdPolicy)):
-        if key in raw:
-            try:
-                kwargs[key] = cls(**raw.pop(key))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{key} section: {exc}") from None
-    if "trace" in raw:
-        trace = raw.pop("trace")
-        kwargs["trace_channel"] = trace.get("channel")
-        kwargs["trace_buses"] = tuple(int(b) for b in trace.get("buses", ()))
+    for key, parse in _SECTIONS.items():
+        if key not in raw:
+            continue
+        value = raw.pop(key)
+        if key in _MAPPING_SECTIONS and not isinstance(value, dict):
+            raise ConfigError(f"{key} section must be a mapping, got {value!r}")
+        try:
+            kwargs.update(parse(value))
+        except KeyError as exc:
+            raise ConfigError(f"{key} section missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key} section: {exc}") from None
     if raw:
         raise ConfigError(f"unknown config keys: {sorted(raw)}")
     try:
@@ -481,6 +489,17 @@ def _csv_table(fieldnames, records) -> str:
     return buf.getvalue()
 
 
+def _spectrum_table(spectra: dict[str, np.ndarray]) -> str:
+    """spectrum.csv: the singular values of each labelled block, 1-based."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["window", "index", "singular_value"])
+    for label, sv in spectra.items():
+        for i, value in enumerate(sv, start=1):
+            writer.writerow([label, i, _NUM % value])
+    return buf.getvalue()
+
+
 def emit_csv(report: ExperimentReport, out_dir: str | Path,
              timings: dict[int, float] | None = None) -> list[Path]:
     """Write scenarios.csv, aggregates.csv, spectrum.csv (and trace.csv when
@@ -497,14 +516,8 @@ def emit_csv(report: ExperimentReport, out_dir: str | Path,
     _write_atomic(path, _csv_table(_AGGREGATE_FIELDS, report.aggregates))
     written.append(path)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["window", "index", "singular_value"])
-    for label, sv in report.spectra.items():
-        for i, value in enumerate(sv, start=1):
-            writer.writerow([label, i, _NUM % value])
     path = out / "spectrum.csv"
-    _write_atomic(path, buf.getvalue())
+    _write_atomic(path, _spectrum_table(report.spectra))
     written.append(path)
 
     if report.trace is not None:
@@ -748,12 +761,6 @@ def write_generated_block(cfg: ExperimentConfig, out_dir: str | Path) -> list[Pa
     npz_path = out / "block.npz"
     write_block_csv(block, csv_path)
     write_block_npz(block, npz_path)
-    sv = singular_spectrum(block)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["window", "index", "singular_value"])
-    for i, value in enumerate(sv, start=1):
-        writer.writerow(["full", i, _NUM % value])
     spath = out / "spectrum.csv"
-    _write_atomic(spath, buf.getvalue())
+    _write_atomic(spath, _spectrum_table({"full": singular_spectrum(block)}))
     return [csv_path, npz_path, spath]

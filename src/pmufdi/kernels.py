@@ -15,11 +15,15 @@ with A linear, and are solved by the scaled ADMM driver :func:`_admm`:
     x-step:  x = argmin_x f(x) + rho/2 ||M + A(x) - b + U||_F^2
     dual:    U += M + A(x) - b
 
-Each solver supplies only its x-step. The driver solves on data scaled
-to unit Frobenius norm, stops when both the primal residual
-||M + A(x) - b|| and the dual residual rho ||A(x) - A(x_prev)|| fall
-below tol_abs + tol_rel * ||b||_F, and rebalances the penalty by
-doubling/halving it when one residual exceeds the other tenfold.
+Each solver supplies only its x-step, which either solves that
+subproblem exactly (the attack's least-squares fit) or linearizes its
+quadratic term at the previous x, as in LADMAP (Lin, Liu & Su, NeurIPS
+2011), which makes the detector's x-step one column shrink. The driver
+solves on data scaled to unit Frobenius norm, stops when both the
+primal residual ||M + A(x) - b|| and the dual residual
+rho ||A(x) - A(x_prev)|| fall below tol_abs + tol_rel * ||b||_F, and
+rebalances the penalty by doubling/halving it when one residual exceeds
+the other tenfold.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ class SolverDiagnostics:
 def _admm(
     b: np.ndarray,
     m_step: Callable[[np.ndarray, float], np.ndarray],
-    x_step: Callable[[Any, np.ndarray, float, float], tuple[Any, np.ndarray]],
+    x_step: Callable[[Any, np.ndarray, float], tuple[Any, np.ndarray]],
     x0: Any,
     opts: SolverOptions,
     what: str,
@@ -100,9 +104,10 @@ def _admm(
     """Solve min ||M||_* + f(x) s.t. M + A(x) = b; see the module docstring.
 
     *m_step(V, tau)* is singular value thresholding; the callers pass the
-    ``svt`` bound in their own module. *x_step(x, target, rho, tol)*
-    minimizes f(x) + rho/2 ||A(x) - target||_F^2 starting from *x* and
-    returns the new x together with A(x); *tol* is the outer tolerance.
+    ``svt`` bound in their own module. *x_step(x, target, rho)*
+    minimizes f(x) + rho/2 ||A(x) - target||_F^2, exactly or by one
+    linearized step from the previous *x*, and returns the new x
+    together with A(x).
     Returns (M, x, scale, diagnostics) with M and x solving the problem
     for b / scale, so the caller rescales them; the residuals in the
     diagnostics, and in a raised :class:`SolverError`, are in data units.
@@ -128,7 +133,7 @@ def _admm(
 
     for it in range(1, opts.max_iter + 1):
         m = m_step(b - ax - u, 1.0 / rho)
-        x, ax_new = x_step(x, b - m - u, rho, tol)
+        x, ax_new = x_step(x, b - m - u, rho)
         r = (m - b) + ax_new
         u = u + r
         primal = float(np.linalg.norm(r))

@@ -53,6 +53,24 @@ def test_naive_attack_recovered_exactly(ieee24_blocks):
     assert len(result.channel_support) > 0
 
 
+def test_one_column_shrink_per_iteration(ieee24_blocks, monkeypatch):
+    import pmufdi.detector
+
+    calls = []
+    shrink = pmufdi.detector.shrink_columns
+
+    def counting(c, kappa):
+        calls.append(kappa)
+        return shrink(c, kappa)
+
+    monkeypatch.setattr(pmufdi.detector, "shrink_columns", counting)
+    _, block, dep = ieee24_blocks
+    _, attacked = naive_ramp_attack(block.window(31, 90), dep, (9,), scale=0.5, seed=21)
+    result = detect(attacked, dep)
+    assert len(calls) == result.diagnostics.iterations
+    assert result.state_support == (9,)
+
+
 def test_feasibility_and_certificate(ieee24_blocks):
     _, block, dep = ieee24_blocks
     window = block.window(31, 90)

@@ -78,7 +78,13 @@ def test_config_validation_errors():
                          ("solver", {"verbose": True}),
                          ("solver", {"max_iter": 0}),
                          ("thresholds", {"relx": 1}),
-                         ("disturbance", {"decay": 0.0})):
+                         ("disturbance", {"decay": 0.0}),
+                         ("plan", 5),
+                         ("plan", {"voltage_buses": [1, 1]}),
+                         ("trace", 5),
+                         ("windows", 5),
+                         ("windows", [[1, 2, 3]]),
+                         ("lambda", "abc")):
         with pytest.raises(ConfigError, match=section):
             config_from_mapping({"system": "ieee24", section: bad})
 
