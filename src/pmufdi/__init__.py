@@ -18,7 +18,6 @@ from .attack_sets import (
 from .blocks import (
     MeasurementBlock,
     StateBlock,
-    add_noise,
     generate_block,
     load_block,
     read_block_csv,

@@ -3,8 +3,8 @@
 A block holds the complex measurement matrix for a time window: one row
 per reporting instant, one column per measurement channel. Blocks are
 generated by solving an AC power flow per instant under a perturbed load
-trajectory and reading the channels off the dependency matrix; with noise
-disabled the block satisfies Z = X H^T exactly.
+trajectory and reading the channels off the dependency matrix; the block
+is noise-free and satisfies Z = X H^T exactly.
 
 Serialization is lossless in both directions: a documented CSV layout
 ("# key: value" metadata lines, a label header, complex entries as
@@ -56,10 +56,6 @@ class MeasurementBlock:
     @property
     def n_channels(self) -> int:
         return self.z.shape[1]
-
-    def time_of_row(self, row: int) -> float:
-        """Seconds since the start of the recording for 0-based *row*."""
-        return (self.start_index - 1 + row) / self.rate_hz
 
     def window(self, first: int, last: int) -> "MeasurementBlock":
         """Rows with 1-based sample indices *first*..*last* inclusive."""
@@ -162,20 +158,6 @@ def _solve_trajectory(
         labels=dep.row_labels, dependency_digest=dep.digest,
     )
     return state, block, dep
-
-
-def add_noise(block: MeasurementBlock, sigma: float, seed: int) -> MeasurementBlock:
-    """Add circular complex Gaussian noise, std *sigma* per real/imag axis.
-
-    ``sigma == 0`` returns the input unchanged.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0.0:
-        return block
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, block.z.shape) + 1j * rng.normal(0.0, sigma, block.z.shape)
-    return replace(block, z=block.z + noise)
 
 
 def singular_spectrum(block: MeasurementBlock) -> np.ndarray:

@@ -8,8 +8,6 @@ take an experiment config file; common flags override its fields.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import sys
 from pathlib import Path
@@ -17,21 +15,11 @@ from pathlib import Path
 import click
 
 from .attack import design_attack
-from .blocks import generate_block, load_block, write_block_csv, write_block_npz
+from .blocks import load_block, write_block_csv, write_block_npz
 from .detector import classify_outcome, detect
-from .experiment import (
-    ExperimentConfig,
-    _csv_table,
-    _NUM,
-    _write_atomic,
-    lambda_sweep,
-    load_config,
-    run_experiment,
-    save_report,
-    write_generated_block,
-    write_sweep_csv,
-)
+from .experiment import ExperimentConfig, lambda_sweep, load_config, run_experiment, write_generated_block
 from .measurements import build_measurement_matrix
+from .report import SweepRow, save_report, write_records, write_table
 
 log = logging.getLogger("pmufdi")
 
@@ -82,9 +70,7 @@ def attack(config_path, seed, out_dir, buses, window_index):
     bus_ids = tuple(int(b) for b in buses.split(","))
     if not 1 <= window_index <= len(cfg.windows):
         raise click.BadParameter(f"window must be in 1..{len(cfg.windows)}")
-    case, plan = cfg.load_grid()
-    _, block, dep = generate_block(case, plan, cfg.duration_s, cfg.rate_hz,
-                                   cfg.seed, policy=cfg.disturbance)
+    _, block, dep = cfg.build_block()
     first, last = cfg.windows[window_index - 1]
     scen = design_attack(block.window(first, last), dep, bus_ids,
                          options=cfg.solver)
@@ -92,21 +78,14 @@ def attack(config_path, seed, out_dir, buses, window_index):
     out.mkdir(parents=True, exist_ok=True)
     write_block_npz(scen.attacked_block, out / "attacked_block.npz")
     write_block_csv(scen.attacked_block, out / "attacked_block.csv")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["set_size", "buses", "clean_nuclear", "attacked_nuclear",
-                     "ratio", "iterations", "primal_residual", "dual_residual"])
-    writer.writerow([
-        len(scen.attacked_buses),
-        "+".join(str(b) for b in scen.attacked_buses),
-        _NUM % scen.baseline_objective,
-        _NUM % scen.objective,
-        _NUM % (scen.objective / scen.baseline_objective),
-        scen.diagnostics.iterations,
-        _NUM % scen.diagnostics.primal_residual,
-        _NUM % scen.diagnostics.dual_residual,
-    ])
-    _write_atomic(out / "attack.csv", buf.getvalue())
+    diag = scen.diagnostics
+    write_table(out / "attack.csv",
+                ["set_size", "buses", "clean_nuclear", "attacked_nuclear", "ratio",
+                 "iterations", "primal_residual", "dual_residual"],
+                [(len(scen.attacked_buses), scen.attacked_buses,
+                  scen.baseline_objective, scen.objective,
+                  scen.objective / scen.baseline_objective,
+                  diag.iterations, diag.primal_residual, diag.dual_residual)])
     click.echo(f"objective {scen.objective:.6g} (clean {scen.baseline_objective:.6g})")
     click.echo(str(out / "attacked_block.npz"))
 
@@ -122,32 +101,22 @@ def attack(config_path, seed, out_dir, buses, window_index):
               help="attacked buses actually injected, for outcome labelling")
 def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
     """Run the detector on a stored block and write detection.csv."""
-    cfg = _load(config_path, seed, out_dir)
+    cfg = _load(config_path, seed, out_dir, weight=weight)
     case, plan = cfg.load_grid()
     dep = build_measurement_matrix(case, plan)
     block = load_block(block_path)
-    result = detect(block, dep, weight=weight or cfg.weight,
+    result = detect(block, dep, weight=cfg.weight,
                     options=cfg.solver, thresholds=cfg.thresholds)
     injected_buses = tuple(int(b) for b in injected.split(",")) if injected else None
     outcome = classify_outcome(result, injected_buses)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["outcome", "weight", "objective", "feasibility_residual",
-                     "iterations", "flagged_buses", "flagged_channels",
-                     "max_state_column_norm"])
-    writer.writerow([
-        outcome.value,
-        _NUM % result.weight,
-        _NUM % result.objective,
-        _NUM % result.feasibility_residual,
-        result.diagnostics.iterations,
-        "+".join(str(b) for b in result.state_support),
-        "+".join(result.labels[i] for i in result.channel_support),
-        _NUM % float(result.state_column_norms.max(initial=0.0)),
-    ])
-    _write_atomic(out / "detection.csv", buf.getvalue())
+    write_table(Path(cfg.out_dir) / "detection.csv",
+                ["outcome", "weight", "objective", "feasibility_residual", "iterations",
+                 "flagged_buses", "flagged_channels", "max_state_column_norm"],
+                [(outcome.value, result.weight, result.objective,
+                  result.feasibility_residual, result.diagnostics.iterations,
+                  result.state_support,
+                  tuple(result.labels[i] for i in result.channel_support),
+                  float(result.state_column_norms.max(initial=0.0)))])
     click.echo(f"outcome: {outcome.value}; flagged: {list(result.state_support)}")
 
 
@@ -191,7 +160,7 @@ def sweep(config_path, seed, out_dir, lambdas):
     cfg = _load(config_path, seed, out_dir)
     weights = [float(w) for w in lambdas.split(",")]
     rows = lambda_sweep(cfg, weights)
-    path = write_sweep_csv(rows, cfg.out_dir)
+    path = write_records(Path(cfg.out_dir) / "lambda_sweep.csv", SweepRow, rows)
     for row in rows:
         click.echo(f"lambda={row.weight:g} {row.kind}: {row.outcome}")
     click.echo(str(path))

@@ -1,23 +1,17 @@
-"""End-to-end experiment pipeline and its report artifacts.
+"""Experiment config, the end-to-end pipeline and the detector-weight sweep.
 
 An experiment, fully described by a YAML config, generates a synthetic
 block, enumerates admissible attacked-state sets, designs and applies an
 attack per set and per detection window, runs the detector on every
-attacked window, and aggregates the outcomes. Reports are plain CSV plus
-a JSON metadata record and gnuplot scripts that reference only the
-emitted CSVs. Everything a report contains is a deterministic function
-of (config, seed); per-scenario wall times go to a separate sidecar file
-that is excluded from that guarantee.
+attacked window, and aggregates the outcomes into an
+:class:`~pmufdi.report.ExperimentReport`; :mod:`pmufdi.report` writes
+and reads it.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
-import json
 import logging
-import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,19 +30,14 @@ from .detector import Outcome, ThresholdPolicy, classify_outcome, detect
 from .kernels import SolverOptions, nuclear_norm
 from .loads import DisturbancePolicy
 from .measurements import DependencyMatrix, PmuPlan
+from .report import ExperimentReport, ScenarioRow, SweepRow, aggregate_rows, write_spectrum
 from .testsystems import default_plan, load_bundled_case, system_names
 
 log = logging.getLogger(__name__)
 
-_NUM = "%.17g"
-
 
 class ConfigError(ValueError):
     """Bad or inconsistent experiment configuration."""
-
-
-class ReportIntegrityError(RuntimeError):
-    """Stored aggregates do not match the stored scenario rows."""
 
 
 @dataclass(frozen=True)
@@ -112,6 +101,13 @@ class ExperimentConfig:
             plan = self.plan
         plan.validate(case)
         return case, plan
+
+    def build_block(self) -> tuple[GridCase, MeasurementBlock, DependencyMatrix]:
+        """The grid, its synthetic block and the block's dependency matrix."""
+        case, plan = self.load_grid()
+        _, block, dep = generate_block(case, plan, self.duration_s, self.rate_hz,
+                                       self.seed, policy=self.disturbance)
+        return case, block, dep
 
     def window_label(self, first: int, last: int) -> str:
         t0 = (first - 1) / self.rate_hz
@@ -189,97 +185,6 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     return cfg
 
 
-@dataclass(frozen=True)
-class ScenarioRow:
-    scenario: int
-    window: str
-    set_size: int
-    buses: tuple[int, ...]
-    clean_nuclear: float
-    attacked_nuclear: float
-    ratio: float
-    outcome: str
-    attack_iterations: int
-    attack_primal: float
-    attack_dual: float
-    detect_iterations: int
-    detect_feasibility: float
-    max_state_column_norm: float
-    flagged_buses: tuple[int, ...]
-    error: str = ""
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    window: str
-    set_size: int
-    count: int
-    min_attacked_nuclear: float
-    mean_attacked_nuclear: float
-    max_attacked_nuclear: float
-    min_ratio: float
-    mean_ratio: float
-    max_ratio: float
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    rows: tuple[ScenarioRow, ...]
-    aggregates: tuple[AggregateRow, ...]
-    spectra: dict[str, np.ndarray]           # window label -> singular values
-    trace: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # t, before, after
-    meta: dict
-
-    @property
-    def in_set_detections(self) -> tuple[ScenarioRow, ...]:
-        """Designed attacks flagged strictly inside their attacked set.
-
-        The attack's optimality precludes this outcome (either nothing is
-        flagged, or something outside the set is), so any row here means
-        a defect and drives the nonzero exit code.
-        """
-        return tuple(
-            r for r in self.rows
-            if r.outcome == Outcome.DETECTED_WITHIN_SET.value and not r.error
-        )
-
-    @property
-    def exit_code(self) -> int:
-        return 2 if self.in_set_detections else 0
-
-
-def aggregate_rows(rows) -> tuple[AggregateRow, ...]:
-    """Per-(window, set size) statistics over the error-free rows.
-
-    Windows keep their run order; set sizes are sorted within a window.
-    """
-    groups: dict[tuple[str, int], list[ScenarioRow]] = {}
-    window_order: list[str] = []
-    for row in rows:
-        if row.error:
-            continue
-        key = (row.window, row.set_size)
-        if row.window not in window_order:
-            window_order.append(row.window)
-        groups.setdefault(key, []).append(row)
-    order = sorted(groups, key=lambda k: (window_order.index(k[0]), k[1]))
-    out = []
-    for key in order:
-        members = groups[key]
-        objs = np.array([r.attacked_nuclear for r in members])
-        ratios = np.array([r.ratio for r in members])
-        out.append(AggregateRow(
-            window=key[0], set_size=key[1], count=len(members),
-            min_attacked_nuclear=float(objs.min()),
-            mean_attacked_nuclear=float(objs.mean()),
-            max_attacked_nuclear=float(objs.max()),
-            min_ratio=float(ratios.min()),
-            mean_ratio=float(ratios.mean()),
-            max_ratio=float(ratios.max()),
-        ))
-    return tuple(out)
-
-
 def _run_scenario(
     scenario_id: int,
     window_label: str,
@@ -333,10 +238,7 @@ def _run_scenario(
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, float]]:
     """Run the full pipeline; returns the report and per-scenario timings."""
-    case, plan = cfg.load_grid()
-    state, block, dep = generate_block(
-        case, plan, cfg.duration_s, cfg.rate_hz, cfg.seed, policy=cfg.disturbance
-    )
+    case, block, dep = cfg.build_block()
     sets = enumerate_attack_sets(case, dep, cfg.max_set_size)
     if cfg.limit is not None:
         sets = sets[: cfg.limit]
@@ -451,240 +353,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report serialization
-
-_SCENARIO_FIELDS = [
-    "scenario", "window", "set_size", "buses", "clean_nuclear",
-    "attacked_nuclear", "ratio", "outcome", "attack_iterations",
-    "attack_primal", "attack_dual", "detect_iterations",
-    "detect_feasibility", "max_state_column_norm", "flagged_buses", "error",
-]
-_AGGREGATE_FIELDS = [
-    "window", "set_size", "count", "min_attacked_nuclear",
-    "mean_attacked_nuclear", "max_attacked_nuclear",
-    "min_ratio", "mean_ratio", "max_ratio",
-]
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return _NUM % value
-    if isinstance(value, tuple):
-        return "+".join(str(v) for v in value)
-    return str(value)
-
-
-def _write_atomic(path: Path, content: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content)
-    os.replace(tmp, path)
-
-
-def _csv_table(fieldnames, records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for record in records:
-        writer.writerow([_fmt(getattr(record, f)) for f in fieldnames])
-    return buf.getvalue()
-
-
-def _spectrum_table(spectra: dict[str, np.ndarray]) -> str:
-    """spectrum.csv: the singular values of each labelled block, 1-based."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["window", "index", "singular_value"])
-    for label, sv in spectra.items():
-        for i, value in enumerate(sv, start=1):
-            writer.writerow([label, i, _NUM % value])
-    return buf.getvalue()
-
-
-def emit_csv(report: ExperimentReport, out_dir: str | Path,
-             timings: dict[int, float] | None = None) -> list[Path]:
-    """Write scenarios.csv, aggregates.csv, spectrum.csv (and trace.csv when
-    a trace was configured) plus meta.json into *out_dir*."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out / "scenarios.csv"
-    _write_atomic(path, _csv_table(_SCENARIO_FIELDS, report.rows))
-    written.append(path)
-
-    path = out / "aggregates.csv"
-    _write_atomic(path, _csv_table(_AGGREGATE_FIELDS, report.aggregates))
-    written.append(path)
-
-    path = out / "spectrum.csv"
-    _write_atomic(path, _spectrum_table(report.spectra))
-    written.append(path)
-
-    if report.trace is not None:
-        t, before, after = report.trace
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["time_s", "before", "after"])
-        for row in zip(t, before, after):
-            writer.writerow([_NUM % v for v in row])
-        path = out / "trace.csv"
-        _write_atomic(path, buf.getvalue())
-        written.append(path)
-
-    path = out / "meta.json"
-    _write_atomic(path, json.dumps(report.meta, indent=2, sort_keys=True) + "\n")
-    written.append(path)
-
-    if timings is not None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scenario", "seconds"])
-        for sid in sorted(timings):
-            writer.writerow([sid, "%.6f" % timings[sid]])
-        # wall times are inherently non-deterministic; kept out of the
-        # reproducibility contract on purpose
-        _write_atomic(out / "timings.csv", buf.getvalue())
-
-    return written
-
-
-def emit_plot_script(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
-    """Gnuplot scripts referencing only the CSVs written by emit_csv."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    spectrum = """set datafile separator ','
-set logscale y
-set xlabel 'index'
-set ylabel 'singular value'
-set key autotitle columnheader
-plot for [w in "{windows}"] 'spectrum.csv' \\
-    using 2:($3)*(strcol(1) eq w ? 1 : NaN) with linespoints title w
-""".format(windows=" ".join(report.spectra))
-    path = out / "spectrum.gp"
-    _write_atomic(path, spectrum)
-    written.append(path)
-
-    aggregates = """set datafile separator ','
-set xlabel 'attacked-set size'
-set ylabel 'post-attack nuclear norm'
-set key autotitle columnheader
-windows = "{windows}"
-plot for [w in windows] 'aggregates.csv' \\
-    using 2:(strcol(1) eq w ? $5 : NaN):(strcol(1) eq w ? $4 : NaN):(strcol(1) eq w ? $6 : NaN) \\
-    with yerrorbars title w
-""".format(windows=" ".join(dict.fromkeys(a.window for a in report.aggregates)))
-    path = out / "aggregates.gp"
-    _write_atomic(path, aggregates)
-    written.append(path)
-
-    if report.trace is not None:
-        trace = """set datafile separator ','
-set xlabel 'time (s)'
-set ylabel 'current magnitude (p.u.)'
-plot 'trace.csv' using 1:2 with lines title 'before', \\
-     'trace.csv' using 1:3 with lines title 'after'
-"""
-        path = out / "trace.gp"
-        _write_atomic(path, trace)
-        written.append(path)
-
-    return written
-
-
-def save_report(report: ExperimentReport, out_dir: str | Path,
-                timings: dict[int, float] | None = None) -> list[Path]:
-    return emit_csv(report, out_dir, timings) + emit_plot_script(report, out_dir)
-
-
-def _parse_buses(text: str) -> tuple[int, ...]:
-    return tuple(int(b) for b in text.split("+")) if text else ()
-
-
-def load_report(out_dir: str | Path) -> ExperimentReport:
-    """Read a report directory back; re-derives the aggregates from the
-    scenario rows and refuses to load if they disagree with the stored ones.
-    """
-    out = Path(out_dir)
-    rows = []
-    with open(out / "scenarios.csv", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(ScenarioRow(
-                scenario=int(rec["scenario"]),
-                window=rec["window"],
-                set_size=int(rec["set_size"]),
-                buses=_parse_buses(rec["buses"]),
-                clean_nuclear=float(rec["clean_nuclear"]),
-                attacked_nuclear=float(rec["attacked_nuclear"]),
-                ratio=float(rec["ratio"]),
-                outcome=rec["outcome"],
-                attack_iterations=int(rec["attack_iterations"]),
-                attack_primal=float(rec["attack_primal"]),
-                attack_dual=float(rec["attack_dual"]),
-                detect_iterations=int(rec["detect_iterations"]),
-                detect_feasibility=float(rec["detect_feasibility"]),
-                max_state_column_norm=float(rec["max_state_column_norm"]),
-                flagged_buses=_parse_buses(rec["flagged_buses"]),
-                error=rec["error"],
-            ))
-    stored = []
-    with open(out / "aggregates.csv", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            stored.append(AggregateRow(
-                window=rec["window"], set_size=int(rec["set_size"]),
-                count=int(rec["count"]),
-                min_attacked_nuclear=float(rec["min_attacked_nuclear"]),
-                mean_attacked_nuclear=float(rec["mean_attacked_nuclear"]),
-                max_attacked_nuclear=float(rec["max_attacked_nuclear"]),
-                min_ratio=float(rec["min_ratio"]),
-                mean_ratio=float(rec["mean_ratio"]),
-                max_ratio=float(rec["max_ratio"]),
-            ))
-    recomputed = aggregate_rows(rows)
-    if tuple(stored) != recomputed:
-        raise ReportIntegrityError(
-            f"{out}: stored aggregates do not match the scenario rows"
-        )
-
-    spectra: dict[str, list[float]] = {}
-    with open(out / "spectrum.csv", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            spectra.setdefault(rec["window"], []).append(float(rec["singular_value"]))
-
-    trace = None
-    trace_path = out / "trace.csv"
-    if trace_path.exists():
-        cols = ([], [], [])
-        with open(trace_path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                cols[0].append(float(rec["time_s"]))
-                cols[1].append(float(rec["before"]))
-                cols[2].append(float(rec["after"]))
-        trace = tuple(np.array(c) for c in cols)
-
-    meta = json.loads((out / "meta.json").read_text())
-    return ExperimentReport(
-        rows=tuple(rows),
-        aggregates=tuple(stored),
-        spectra={k: np.array(v) for k, v in spectra.items()},
-        trace=trace,
-        meta=meta,
-    )
-
-
-# ---------------------------------------------------------------------------
 # lambda sweep
-
-@dataclass(frozen=True)
-class SweepRow:
-    weight: float
-    kind: str                       # "designed" or "naive"
-    outcome: str
-    flagged_buses: tuple[int, ...]
-    max_state_column_norm: float
-    error: str = ""
-
 
 def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
     """Detection outcome per weight on one designed and one naive attack.
@@ -696,10 +365,7 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
     weights = tuple(float(w) for w in weights)
     if not weights or any(w <= 0 for w in weights):
         raise ConfigError("sweep weights must be a nonempty list of positives")
-    case, plan = cfg.load_grid()
-    state, block, dep = generate_block(
-        case, plan, cfg.duration_s, cfg.rate_hz, cfg.seed, policy=cfg.disturbance
-    )
+    case, block, dep = cfg.build_block()
     first, last = cfg.windows[0]
     window_block = block.window(first, last)
     buses = tuple(sorted(cfg.trace_buses))
@@ -737,30 +403,14 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
     return tuple(rows)
 
 
-_SWEEP_FIELDS = ["weight", "kind", "outcome", "flagged_buses",
-                 "max_state_column_norm", "error"]
-
-
-def write_sweep_csv(rows, out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "lambda_sweep.csv"
-    _write_atomic(path, _csv_table(_SWEEP_FIELDS, rows))
-    return path
-
-
 def write_generated_block(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     """Generate and persist the block (CSV + npz cache + spectrum CSV)."""
-    case, plan = cfg.load_grid()
-    state, block, dep = generate_block(
-        case, plan, cfg.duration_s, cfg.rate_hz, cfg.seed, policy=cfg.disturbance
-    )
+    _, block, _ = cfg.build_block()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "block.csv"
     npz_path = out / "block.npz"
     write_block_csv(block, csv_path)
     write_block_npz(block, npz_path)
-    spath = out / "spectrum.csv"
-    _write_atomic(spath, _spectrum_table({"full": singular_spectrum(block)}))
+    spath = write_spectrum(out / "spectrum.csv", {"full": singular_spectrum(block)})
     return [csv_path, npz_path, spath]

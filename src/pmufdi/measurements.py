@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,9 +65,10 @@ class DependencyMatrix:
     def n_states(self) -> int:
         return self.h.shape[1]
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Short content hash identifying this matrix (used by block caches)."""
+        """Short content hash identifying this matrix (used by block caches);
+        computed once, since ``h`` is read-only."""
         md = hashlib.sha256()
         md.update(np.ascontiguousarray(self.h).tobytes())
         md.update(",".join(self.row_labels).encode())

@@ -16,8 +16,9 @@ import pytest
 import pmufdi
 from pmufdi.attack import naive_ramp_attack, _minimize_postattack_norm
 from pmufdi.detector import Outcome, _decompose
-from pmufdi.experiment import load_config, run_experiment, save_report
+from pmufdi.experiment import load_config, run_experiment
 from pmufdi.kernels import SolverOptions, l12_norm, nuclear_norm, shrink_columns, svt
+from pmufdi.report import save_report
 
 from conftest import record_acceptance
 from oracles import (

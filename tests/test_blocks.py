@@ -3,7 +3,6 @@ import pytest
 
 from pmufdi.blocks import (
     MeasurementBlock,
-    add_noise,
     generate_block,
     load_block,
     read_block_csv,
@@ -22,8 +21,6 @@ def test_block_shape_and_metadata(ieee24_blocks):
     assert block.start_index == 1
     assert block.dependency_digest == dep.digest
     assert not block.attacked
-    assert block.time_of_row(0) == 0.0
-    assert block.time_of_row(30) == 1.0
 
 
 def test_non_integral_sample_count_rejected(ieee24_case, ieee24_plan):
@@ -100,26 +97,6 @@ def test_window_selection(ieee24_blocks):
         block.window(0, 59)
     with pytest.raises(ValueError):
         block.window(100, 151)
-
-
-def test_add_noise_behavior(ieee24_blocks, ieee118_blocks):
-    _, block, _ = ieee24_blocks
-    assert add_noise(block, 0.0, seed=1) is block
-
-    noisy = add_noise(block, 0.01, seed=1)
-    again = add_noise(block, 0.01, seed=1)
-    assert np.array_equal(noisy.z, again.z)
-    assert not np.array_equal(noisy.z, block.z)
-
-    with pytest.raises(ValueError):
-        add_noise(block, -0.1, seed=1)
-
-    # empirical per-axis deviation over more than 1e4 entries
-    _, wide, _ = ieee118_blocks
-    delta = (add_noise(wide, 0.01, seed=2).z - wide.z).ravel()
-    assert delta.size > 10_000
-    assert np.std(delta.real) == pytest.approx(0.01, rel=0.05)
-    assert np.std(delta.imag) == pytest.approx(0.01, rel=0.05)
 
 
 def test_csv_round_trip(tmp_path, ieee24_blocks):

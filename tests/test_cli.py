@@ -56,7 +56,9 @@ def test_attack_and_detect(runner, config_path, tmp_path):
     assert result.exit_code == 0, result.output
     attacked = tmp_path / "out" / "attacked_block.npz"
     assert attacked.exists()
-    assert (tmp_path / "out" / "attack.csv").exists()
+    assert (tmp_path / "out" / "attack.csv").read_text().splitlines()[0] == (
+        "set_size,buses,clean_nuclear,attacked_nuclear,ratio,iterations,"
+        "primal_residual,dual_residual")
 
     result = runner.invoke(main, [
         "detect", "--config", str(config_path),
@@ -64,8 +66,21 @@ def test_attack_and_detect(runner, config_path, tmp_path):
     ])
     assert result.exit_code == 0, result.output
     assert "bypassed" in result.output
-    detection = (tmp_path / "out" / "detection.csv").read_text()
-    assert "bypassed" in detection
+    header, row = (tmp_path / "out" / "detection.csv").read_text().splitlines()
+    assert header == ("outcome,weight,objective,feasibility_residual,iterations,"
+                      "flagged_buses,flagged_channels,max_state_column_norm")
+    assert row.startswith("bypassed,1.05,")
+
+
+def test_detect_rejects_nonpositive_lambda(runner, config_path, tmp_path):
+    runner.invoke(main, ["generate", "--config", str(config_path)])
+    result = runner.invoke(main, [
+        "detect", "--config", str(config_path),
+        "--block", str(tmp_path / "out" / "block.npz"), "--lambda", "0",
+    ])
+    assert result.exit_code != 0
+    assert "weight" in str(result.exception)
+    assert not (tmp_path / "out" / "detection.csv").exists()
 
 
 def test_detect_clean_block(runner, config_path, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,23 +8,27 @@ import pytest
 
 from pmufdi.detector import Outcome
 from pmufdi.experiment import (
-    AggregateRow,
     ConfigError,
     ExperimentConfig,
+    config_from_mapping,
+    lambda_sweep,
+    load_config,
+    run_experiment,
+)
+from pmufdi.measurements import PmuPlan
+from pmufdi.report import (
+    AggregateRow,
     ExperimentReport,
     ReportIntegrityError,
     ScenarioRow,
+    SweepRow,
     aggregate_rows,
-    config_from_mapping,
     emit_csv,
-    emit_plot_script,
-    lambda_sweep,
-    load_config,
     load_report,
-    run_experiment,
+    read_records,
     save_report,
+    write_records,
 )
-from pmufdi.measurements import PmuPlan
 
 from conftest import TWO_BUS_NO_LOAD_CASE
 
@@ -156,12 +161,21 @@ def test_trace_series(tiny_report):
                 assert (out / token).exists()
 
 
-def test_report_round_trip_and_integrity(tiny_report):
+DETERMINISTIC = ["scenarios.csv", "aggregates.csv", "spectrum.csv", "trace.csv",
+                 "meta.json", "spectrum.gp", "aggregates.gp", "trace.gp"]
+
+
+def test_report_round_trip_and_integrity(tiny_report, tmp_path):
     cfg, report, out = tiny_report
     loaded = load_report(out)
     assert loaded.rows == report.rows
     assert loaded.aggregates == report.aggregates
     assert loaded.meta == report.meta
+
+    # the loaded report writes back the same bytes
+    save_report(loaded, tmp_path)
+    for name in DETERMINISTIC:
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
 
     # corrupt one aggregate value: loading must refuse
     agg_path = out / "aggregates.csv"
@@ -183,11 +197,45 @@ def test_reports_byte_identical_across_runs(tmp_path):
         report, timings = run_experiment(cfg)
         save_report(report, cfg.out_dir, timings)
         outs.append(out)
-    deterministic = ["scenarios.csv", "aggregates.csv", "spectrum.csv",
-                     "trace.csv", "meta.json", "spectrum.gp", "aggregates.gp",
-                     "trace.gp"]
-    for name in deterministic:
+    for name in DETERMINISTIC:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_error_row_round_trips_byte_for_byte(tmp_path):
+    nan = float("nan")
+    rows = (
+        ScenarioRow(1, "1-3s", 1, (8,), 10.0, 9.5, 0.95, "bypassed",
+                    23, 1e-6, 2e-9, 48, 5e-6, 0.0, ()),
+        ScenarioRow(2, "1-3s", 2, (8, 9), 10.0, nan, nan, "error",
+                    0, nan, nan, 0, nan, nan, (),
+                    error='ADMM stopped: "primal" 1e-3, dual 2e-4'),
+    )
+    report = ExperimentReport(
+        rows=rows, aggregates=aggregate_rows(rows),
+        spectra={"full": np.array([3.0, 0.5, 1e-17])},
+        trace=(np.array([1.0, 1.1]), np.array([0.2, 0.3]), np.array([0.25, 0.3])),
+        meta={"n_scenarios": 2},
+    )
+    save_report(report, tmp_path / "a")
+    loaded = load_report(tmp_path / "a")
+    error_row = loaded.rows[1]
+    assert error_row.error == rows[1].error
+    assert error_row.flagged_buses == ()
+    assert math.isnan(error_row.ratio) and math.isnan(error_row.attack_primal)
+    save_report(loaded, tmp_path / "b")
+    for name in DETERMINISTIC:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_records_round_trip_and_reject_foreign_columns(tmp_path):
+    rows = (SweepRow(1.05, "designed", "bypassed", (), 0.0),
+            SweepRow(2.0, "naive", "detected_within_set", (8, 9), 0.5, error="a,b"))
+    path = write_records(tmp_path / "sweep.csv", SweepRow, rows)
+    assert path.read_text().splitlines()[0] == \
+        "weight,kind,outcome,flagged_buses,max_state_column_norm,error"
+    assert read_records(path, SweepRow) == rows
+    with pytest.raises(ValueError, match="columns"):
+        read_records(path, AggregateRow)
 
 
 def test_worker_pool_matches_serial(tmp_path):

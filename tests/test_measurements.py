@@ -95,6 +95,10 @@ def test_digest_distinguishes_plans(ieee24_case):
     assert a.digest == again.digest
 
 
+def test_digest_is_computed_once(ieee118_dep):
+    assert ieee118_dep.digest is ieee118_dep.digest
+
+
 def test_row_and_column_lookup(ieee24_dep):
     assert ieee24_dep.row_index("F:11") == 9 + 5
     assert ieee24_dep.column_index(8) == 7
