@@ -36,7 +36,6 @@ from .detector import (
     identify_support,
 )
 from .kernels import (
-    RidgeSolver,
     SolverDiagnostics,
     SolverError,
     SolverOptions,

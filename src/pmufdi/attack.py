@@ -11,6 +11,9 @@ problem reduces to an unconstrained minimize_W ||Z + W G||_* with G the
 corresponding rows of Hn^T. With M = Z + W G this is the shared ADMM
 driver's problem (see :mod:`pmufdi.kernels`) with f = 0 and A(W) = -W G,
 so the x-step is the least-squares fit  min_W || W G - (M - Z + U) ||_F.
+The solver reparametrizes W against an orthonormal basis Q of the row
+space of G (G = R^H Q, W_q = W R^H), which turns that fit into the
+projection  W_q = (M - Z + U) Q^H.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .attack_sets import AttackSetValidation
 from .blocks import MeasurementBlock
 from .kernels import (
-    RidgeSolver,
+    _RHO,
     SolverDiagnostics,
     SolverError,
     SolverOptions,
@@ -37,7 +39,6 @@ from .measurements import DependencyMatrix
 @dataclass(frozen=True)
 class AttackScenario:
     attacked_buses: tuple[int, ...]
-    validation: AttackSetValidation | None
     c: np.ndarray                  # (N, n_bus) complex; zero outside the set
     attacked_block: MeasurementBlock
     objective: float               # nuclear norm of the post-attack block
@@ -50,7 +51,6 @@ def design_attack(
     dep: DependencyMatrix,
     attacked_buses,
     options: SolverOptions | None = None,
-    validation: AttackSetValidation | None = None,
 ) -> AttackScenario:
     """Solve the attack program for *attacked_buses* on *block*.
 
@@ -65,9 +65,9 @@ def design_attack(
 
     if not attacked:
         c = np.zeros((block.n_steps, dep.n_states), dtype=complex)
-        diag = SolverDiagnostics(0, 0.0, 0.0, opts.rho, True)
+        diag = SolverDiagnostics(0, 0.0, 0.0, _RHO)
         return AttackScenario(
-            attacked_buses=(), validation=validation, c=c,
+            attacked_buses=(), c=c,
             attacked_block=apply_attack(block, c, dep),
             objective=baseline, baseline_objective=baseline, diagnostics=diag,
         )
@@ -82,7 +82,6 @@ def design_attack(
     attacked_block = apply_attack(block, c, dep)
     return AttackScenario(
         attacked_buses=attacked,
-        validation=validation,
         c=c,
         attacked_block=attacked_block,
         objective=nuclear_norm(attacked_block.z),
@@ -103,11 +102,11 @@ def _minimize_postattack_norm(
     if diag.min() <= 1e-12 * diag.max():
         raise SolverError("attack dictionary rows are linearly dependent", np.inf, np.inf, 0)
     q = q_cols.conj().T                     # (k, n_z), orthonormal rows
-    ls = RidgeSolver(q, 0.0)
 
     def step(wq, target, rho):
-        # A(W_q) = -W_q Q, so the fit is W_q Q = -target = M - Z + U
-        wq = ls.solve(-target)
+        # A(W_q) = -W_q Q and Q Q^H = I, so the fit of W_q Q to
+        # -target = M - Z + U is its projection onto the rows of Q
+        wq = -target @ q_cols
         return wq, -(wq @ q)
 
     wq0 = np.zeros((z.shape[0], g.shape[0]), dtype=complex)

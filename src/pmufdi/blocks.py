@@ -4,7 +4,9 @@ A block holds the complex measurement matrix for a time window: one row
 per reporting instant, one column per measurement channel. Blocks are
 generated by solving an AC power flow per instant under a perturbed load
 trajectory and reading the channels off the dependency matrix; the block
-is noise-free and satisfies Z = X H^T exactly.
+is noise-free and satisfies Z = X H^T exactly. A block rejects
+non-finite entries, naming the first bad sample and channel, and a label
+count that differs from its channel count when it is made.
 
 Serialization is lossless in both directions: a documented CSV layout
 ("# key: value" metadata lines, a label header, complex entries as
@@ -48,6 +50,19 @@ class MeasurementBlock:
     labels: tuple[str, ...]       # channel labels, dependency-matrix row order
     dependency_digest: str
     attacked: bool = False
+
+    def __post_init__(self):
+        if len(self.labels) != self.n_channels:
+            raise ValueError(
+                f"block has {self.n_channels} channels but {len(self.labels)} labels"
+            )
+        bad = np.argwhere(~np.isfinite(self.z))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(
+                f"non-finite entry {self.z[row, col]} at sample "
+                f"{self.start_index + row}, channel {self.labels[col]!r}"
+            )
 
     @property
     def n_steps(self) -> int:

@@ -79,7 +79,6 @@ class DetectionResult:
     bus_ids: tuple[int, ...]
     labels: tuple[str, ...]
     diagnostics: SolverDiagnostics
-    outcome: Outcome | None = None
 
 
 def detect(
@@ -103,7 +102,7 @@ def detect(
     residual = float(np.linalg.norm(zbar - m - c @ g))
     objective = nuclear_norm(m) + weight * l12_norm(c)
     baseline = nuclear_norm(zbar)
-    if objective > baseline * (1.0 + _CERTIFICATE_TOL) + opts.tol_abs:
+    if objective > baseline * (1.0 + _CERTIFICATE_TOL):
         raise SolverError(
             f"objective certificate violated: {objective:.6g} > {baseline:.6g}",
             diag.primal_residual, diag.dual_residual, diag.iterations,

@@ -22,8 +22,8 @@ import numpy as np
 import yaml
 
 from . import __version__ as _version
-from .attack import AttackScenario, design_attack, naive_ramp_attack
-from .attack_sets import AttackSetValidation, enumerate_attack_sets
+from .attack import design_attack, naive_ramp_attack
+from .attack_sets import enumerate_attack_sets
 from .blocks import MeasurementBlock, generate_block, singular_spectrum, write_block_csv, write_block_npz
 from .cases import GridCase, load_case
 from .detector import Outcome, ThresholdPolicy, classify_outcome, detect
@@ -189,16 +189,14 @@ def _run_scenario(
     scenario_id: int,
     window_label: str,
     window_block: MeasurementBlock,
-    dep: DependencyMatrix,
-    validation: AttackSetValidation,
+    buses: tuple[int, ...],
     clean_nuclear: float,
+    dep: DependencyMatrix,
     cfg: ExperimentConfig,
-) -> tuple[ScenarioRow, float, AttackScenario | None]:
+) -> tuple[ScenarioRow, float]:
     started = time.perf_counter()
-    buses = validation.attacked_buses
     try:
-        scen = design_attack(window_block, dep, buses,
-                             options=cfg.solver, validation=validation)
+        scen = design_attack(window_block, dep, buses, options=cfg.solver)
         res = detect(scen.attacked_block, dep, weight=cfg.weight,
                      options=cfg.solver, thresholds=cfg.thresholds)
         outcome = classify_outcome(res, buses)
@@ -219,7 +217,6 @@ def _run_scenario(
             max_state_column_norm=float(res.state_column_norms.max(initial=0.0)),
             flagged_buses=res.state_support,
         )
-        return row, time.perf_counter() - started, scen
     except Exception as exc:  # recorded per scenario; the run continues
         log.warning("scenario %d (%s, %s) failed: %s",
                     scenario_id, window_label, buses, exc)
@@ -233,12 +230,24 @@ def _run_scenario(
             detect_feasibility=float("nan"), max_state_column_norm=float("nan"),
             flagged_buses=(), error=str(exc),
         )
-        return row, time.perf_counter() - started, None
+    return row, time.perf_counter() - started
+
+
+def _check_trace(cfg: ExperimentConfig, case: GridCase, dep: DependencyMatrix) -> None:
+    """Reject a trace channel or trace bus that the grid does not have."""
+    if cfg.trace_channel and cfg.trace_channel not in dep.row_labels:
+        raise ConfigError(
+            f"trace channel {cfg.trace_channel!r} is not a measurement channel of {case.name}"
+        )
+    unknown = sorted(set(cfg.trace_buses) - set(dep.bus_ids))
+    if unknown:
+        raise ConfigError(f"trace buses {unknown} are not buses of {case.name}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, float]]:
     """Run the full pipeline; returns the report and per-scenario timings."""
     case, block, dep = cfg.build_block()
+    _check_trace(cfg, case, dep)
     sets = enumerate_attack_sets(case, dep, cfg.max_set_size)
     if cfg.limit is not None:
         sets = sets[: cfg.limit]
@@ -247,44 +256,28 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, f
 
     spectra: dict[str, np.ndarray] = {"full": singular_spectrum(block)}
     tasks = []
-    scenario_id = 0
     for first, last in cfg.windows:
         label = cfg.window_label(first, last)
         window_block = block.window(first, last)
         spectra[label] = singular_spectrum(window_block)
         clean = nuclear_norm(window_block.z)
         for validation in sets:
-            scenario_id += 1
-            tasks.append((scenario_id, label, window_block, validation, clean))
+            tasks.append((len(tasks) + 1, label, window_block,
+                          validation.attacked_buses, clean))
 
-    trace_scenario: AttackScenario | None = None
-    results: list[tuple[ScenarioRow, float, AttackScenario | None]] = [None] * len(tasks)
+    def run(task):
+        return _run_scenario(*task, dep, cfg)
 
-    def run(idx_task):
-        idx, (sid, label, wblock, validation, clean) = idx_task
-        return idx, _run_scenario(sid, label, wblock, dep, validation, clean, cfg)
-
+    # both branches return the results in task order
     if cfg.workers == 1:
-        for idx_task in enumerate(tasks):
-            idx, result = run(idx_task)
-            results[idx] = result
+        results = [run(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for idx, result in pool.map(run, enumerate(tasks)):
-                results[idx] = result
+            results = list(pool.map(run, tasks))
+    rows = [row for row, _ in results]
+    timings = {row.scenario: seconds for row, seconds in results}
 
-    rows = []
-    timings = {}
-    for (row, seconds, scen) in results:
-        rows.append(row)
-        timings[row.scenario] = seconds
-        if (trace_scenario is None and scen is not None
-                and cfg.trace_buses and row.buses == tuple(sorted(cfg.trace_buses))):
-            trace_scenario = scen
-
-    trace = None
-    if cfg.trace_channel:
-        trace = _trace_series(cfg, block, dep, trace_scenario)
+    trace = _trace_series(cfg, block, dep)
 
     meta = {
         "config": _config_echo(cfg),
@@ -314,17 +307,16 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, f
     return report, timings
 
 
-def _trace_series(cfg, block, dep, trace_scenario):
-    """Before/after series for the configured channel and attacked set."""
+def _trace_series(cfg, block, dep):
+    """Before/after series of the configured channel under an attack on
+    the trace set, designed on the first detection window."""
+    if not (cfg.trace_channel and cfg.trace_buses):
+        return None
     first, last = cfg.windows[0]
     window_block = block.window(first, last)
-    if trace_scenario is None and cfg.trace_buses:
-        trace_scenario = design_attack(window_block, dep, cfg.trace_buses,
-                                       options=cfg.solver)
-    if trace_scenario is None:
-        return None
+    scen = design_attack(window_block, dep, cfg.trace_buses, options=cfg.solver)
     before = np.abs(window_block.column(cfg.trace_channel))
-    after = np.abs(trace_scenario.attacked_block.column(cfg.trace_channel))
+    after = np.abs(scen.attacked_block.column(cfg.trace_channel))
     t = np.arange(first, last + 1) / cfg.rate_hz
     return t, before, after
 

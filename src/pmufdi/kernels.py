@@ -16,14 +16,14 @@ with A linear, and are solved by the scaled ADMM driver :func:`_admm`:
     dual:    U += M + A(x) - b
 
 Each solver supplies only its x-step, which either solves that
-subproblem exactly (the attack's least-squares fit) or linearizes its
-quadratic term at the previous x, as in LADMAP (Lin, Liu & Su, NeurIPS
-2011), which makes the detector's x-step one column shrink. The driver
-solves on data scaled to unit Frobenius norm, stops when both the
-primal residual ||M + A(x) - b|| and the dual residual
-rho ||A(x) - A(x_prev)|| fall below tol_abs + tol_rel * ||b||_F, and
-rebalances the penalty by doubling/halving it when one residual exceeds
-the other tenfold.
+subproblem exactly (the attack's projection onto orthonormal rows) or
+linearizes its quadratic term at the previous x, as in LADMAP (Lin, Liu
+& Su, NeurIPS 2011), which makes the detector's x-step one column
+shrink. The driver solves on data scaled to unit Frobenius norm, stops
+when both the primal residual ||M + A(x) - b|| and the dual residual
+rho ||A(x) - A(x_prev)|| fall below tol_rel * ||b||_F, and rebalances
+the penalty by doubling/halving it when one residual exceeds the other
+tenfold.
 """
 
 from __future__ import annotations
@@ -37,38 +37,32 @@ import scipy.linalg
 
 
 _RESIDUAL_GAP = 10.0
+# starting penalty; the data are normalized to unit Frobenius norm, so it
+# refers to the normalized problem
+_RHO = 1.0
+# range the adapted penalty stays in: an uncontrolled downward run feeds
+# back through the scaled dual variable and blows the iterates up, while
+# too low a ceiling leaves residuals parked just above tolerance
+_RHO_MIN = _RHO / 1024.0
+_RHO_MAX = _RHO * 2.0 ** 20
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Settings of the ADMM driver shared by the attack and the detector.
 
-    *rho* is the starting penalty. The driver normalizes the data to unit
-    Frobenius norm, so it refers to the normalized problem; the penalty
-    then adapts within :meth:`rho_bounds`. *max_iter* is the iteration
-    budget, after which :class:`SolverError` is raised. Convergence
-    requires both residuals to fall below ``tol_abs + tol_rel *
-    ||data||_F``, with *tol_abs* in the data's own units.
+    *max_iter* is the iteration budget, after which :class:`SolverError`
+    is raised. Convergence requires both residuals to fall below
+    ``tol_rel * ||data||_F``.
     """
     max_iter: int = 5000
     tol_rel: float = 1e-7
-    tol_abs: float = 0.0
-    rho: float = 1.0
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol_rel <= 0 and self.tol_abs <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-
-    def rho_bounds(self) -> tuple[float, float]:
-        """Range the adapted penalty stays in: an uncontrolled downward
-        run feeds back through the scaled dual variable and blows the
-        iterates up, while too low a ceiling leaves residuals parked just
-        above tolerance."""
-        return self.rho / 1024.0, self.rho * 2.0 ** 20
+        if self.tol_rel <= 0:
+            raise ValueError("tol_rel must be positive")
 
 
 class SolverError(RuntimeError):
@@ -90,7 +84,6 @@ class SolverDiagnostics:
     primal_residual: float
     dual_residual: float
     rho: float
-    converged: bool
 
 
 def _admm(
@@ -115,16 +108,14 @@ def _admm(
     """
     scale = float(np.linalg.norm(b))
     if scale == 0.0:
-        return np.zeros_like(b), x0, 0.0, SolverDiagnostics(0, 0.0, 0.0, opts.rho, True)
+        return np.zeros_like(b), x0, 0.0, SolverDiagnostics(0, 0.0, 0.0, _RHO)
     # every objective term is positively homogeneous, so solve on
     # unit-Frobenius data; this keeps the penalty scale data-independent
     b = b / scale
-    tol = opts.tol_abs / scale + opts.tol_rel
-    rho = opts.rho
+    rho = _RHO
     # never let the threshold 1/rho reach sigma_1, or the svt step would
     # annihilate the low-rank iterate and the iteration stalls
-    lo, hi = opts.rho_bounds()
-    lo = max(lo, 1.5 / float(np.linalg.svd(b, compute_uv=False)[0]))
+    lo = max(_RHO_MIN, 1.5 / float(np.linalg.svd(b, compute_uv=False)[0]))
 
     x = x0
     ax = np.zeros_like(b)
@@ -141,9 +132,9 @@ def _admm(
         ax = ax_new
         if not np.isfinite(primal) or not np.isfinite(dual):
             raise SolverError(f"{what} diverged", primal * scale, dual * scale, it)
-        if primal < tol and dual < tol:
-            return m, x, scale, SolverDiagnostics(it, primal * scale, dual * scale, rho, True)
-        if primal > _RESIDUAL_GAP * dual and rho * 2.0 <= hi:
+        if primal < opts.tol_rel and dual < opts.tol_rel:
+            return m, x, scale, SolverDiagnostics(it, primal * scale, dual * scale, rho)
+        if primal > _RESIDUAL_GAP * dual and rho * 2.0 <= _RHO_MAX:
             rho *= 2.0
             u /= 2.0
         elif dual > _RESIDUAL_GAP * primal and rho / 2.0 >= lo:
@@ -209,33 +200,3 @@ def l12_norm(c: np.ndarray) -> float:
     """Sum of Euclidean column norms."""
     c = _require_finite(c, "matrix")
     return float(np.sum(np.linalg.norm(c, axis=0)))
-
-
-class RidgeSolver:
-    """Minimizer of ||W A - B||_F^2 + rho ||W||_F^2 over W.
-
-    The Cholesky factorization of (A A^H + rho I) is computed once so
-    repeated right-hand sides amortize it. With rho = 0 the matrix must be
-    positive definite, i.e. A must have full row rank.
-    """
-
-    def __init__(self, a: np.ndarray, rho: float = 0.0):
-        if rho < 0:
-            raise ValueError("rho must be >= 0")
-        a = _require_finite(np.atleast_2d(a), "A")
-        gram = a @ a.conj().T
-        gram[np.diag_indices_from(gram)] += rho
-        try:
-            self._cho = scipy.linalg.cho_factor(gram)
-        except scipy.linalg.LinAlgError:
-            raise np.linalg.LinAlgError(
-                "A A^H + rho I is singular; need rho > 0 or full row rank A"
-            ) from None
-        self._a = a
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = _require_finite(np.atleast_2d(b), "B")
-        # W = B A^H (A A^H + rho I)^{-1}, via the Hermitian solve of W^H
-        wh = scipy.linalg.cho_solve(self._cho, self._a @ b.conj().T)
-        return wh.conj().T
-

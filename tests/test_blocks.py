@@ -23,6 +23,15 @@ def test_block_shape_and_metadata(ieee24_blocks):
     assert not block.attacked
 
 
+def test_block_rejects_non_finite_entries_and_label_mismatch():
+    z = np.ones((4, 3), dtype=complex)
+    z[2, 1] = complex(np.inf, 0.0)
+    with pytest.raises(ValueError, match="sample 7, channel 'b'"):
+        MeasurementBlock(z, 30.0, 5, ("a", "b", "c"), "digest")
+    with pytest.raises(ValueError, match="3 channels but 2 labels"):
+        MeasurementBlock(np.ones((4, 3), dtype=complex), 30.0, 5, ("a", "b"), "digest")
+
+
 def test_non_integral_sample_count_rejected(ieee24_case, ieee24_plan):
     with pytest.raises(ValueError, match="integer"):
         generate_block(ieee24_case, ieee24_plan, 5.01, 30.0, seed=1)

@@ -107,6 +107,24 @@ def test_detect_rejects_foreign_dependency_digest(runner, config_path, tmp_path)
     assert digest in str(result.exception)
 
 
+def test_detect_rejects_non_finite_block(runner, config_path, tmp_path):
+    runner.invoke(main, ["generate", "--config", str(config_path)])
+    block_csv = tmp_path / "out" / "block.csv"
+    lines = block_csv.read_text().splitlines()
+    labels = next(line for line in lines if line.startswith("t,")).split(",")
+    row = next(i for i, line in enumerate(lines) if line.startswith("40,"))
+    cells = lines[row].split(",")
+    cells[3] = "nan+0j"
+    lines[row] = ",".join(cells)
+    block_csv.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, [
+        "detect", "--config", str(config_path), "--block", str(block_csv),
+    ])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ValueError)
+    assert f"sample 40, channel {labels[3]!r}" in str(result.exception)
+
+
 def test_experiment_exit_zero(runner, config_path, tmp_path):
     result = runner.invoke(main, ["experiment", "--config", str(config_path),
                                   "--limit", "2"])

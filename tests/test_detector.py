@@ -132,7 +132,7 @@ def _result_with_norms(state_norms, channel_norms, frob=1.0):
         objective=0.0,
         bus_ids=tuple(range(1, len(state_norms) + 1)),
         labels=tuple(f"V:{i}" for i in range(len(channel_norms))),
-        diagnostics=SolverDiagnostics(1, 0.0, 0.0, 1.0, True),
+        diagnostics=SolverDiagnostics(1, 0.0, 0.0, 1.0),
     )
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pmufdi import experiment
 from pmufdi.detector import Outcome
 from pmufdi.experiment import (
     ConfigError,
@@ -82,6 +83,7 @@ def test_config_validation_errors():
     for section, bad in (("solver", {"verbos": True}),
                          ("solver", {"verbose": True}),
                          ("solver", {"max_iter": 0}),
+                         ("solver", {"rho": 1.0}),
                          ("thresholds", {"relx": 1}),
                          ("disturbance", {"decay": 0.0}),
                          ("plan", 5),
@@ -92,6 +94,19 @@ def test_config_validation_errors():
                          ("lambda", "abc")):
         with pytest.raises(ConfigError, match=section):
             config_from_mapping({"system": "ieee24", section: bad})
+
+
+@pytest.mark.parametrize("trace, name", [
+    ({"trace_channel": "F:999", "trace_buses": (8,)}, "F:999"),
+    ({"trace_channel": "F:11", "trace_buses": (999,)}, "999"),
+], ids=["channel", "bus"])
+def test_bad_trace_settings_fail_before_any_scenario(trace, name, monkeypatch):
+    designed = []
+    monkeypatch.setattr(experiment, "design_attack",
+                        lambda *args, **kwargs: designed.append(args))
+    with pytest.raises(ConfigError, match=name):
+        run_experiment(small_cfg(**trace))
+    assert designed == []
 
 
 def test_window_labels():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pmufdi.kernels import (
-    RidgeSolver,
     SolverOptions,
     l12_norm,
     nuclear_norm,
@@ -119,49 +118,6 @@ def test_l12_norm_known_values():
     assert l12_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
 
 
-# --- ridge least squares ----------------------------------------------------
-
-def test_ridge_identity_dictionary():
-    rng = np.random.default_rng(6)
-    b = random_complex(rng, (4, 3))
-    w = RidgeSolver(np.eye(3), 0.0).solve(b)
-    assert np.max(np.abs(w - b)) < 1e-12
-
-
-def test_ridge_zero_rhs():
-    rng = np.random.default_rng(7)
-    a = random_complex(rng, (3, 8))
-    w = RidgeSolver(a, 0.1).solve(np.zeros((5, 8)))
-    assert np.max(np.abs(w)) == 0.0
-
-
-def test_ridge_first_order_optimality():
-    rng = np.random.default_rng(8)
-    a = random_complex(rng, (3, 8))
-    b = random_complex(rng, (5, 8))
-    rho = 0.1
-    w = RidgeSolver(a, rho).solve(b)
-    gradient = (w @ a - b) @ a.conj().T + rho * w
-    assert np.linalg.norm(gradient) < 1e-9
-
-
-def test_ridge_cached_factorization_reuse():
-    rng = np.random.default_rng(9)
-    a = random_complex(rng, (3, 8))
-    solver = RidgeSolver(a, 0.2)
-    for _ in range(3):
-        b = random_complex(rng, (4, 8))
-        assert np.allclose(solver.solve(b), RidgeSolver(a, 0.2).solve(b))
-
-
-def test_ridge_rank_deficient_requires_regularization():
-    a = np.vstack([np.ones((1, 4)), np.ones((1, 4))])   # rank 1, 2 rows
-    with pytest.raises(np.linalg.LinAlgError):
-        RidgeSolver(a, 0.0)
-    w = RidgeSolver(a, 1e-6).solve(np.ones((2, 4)))
-    assert np.all(np.isfinite(w))
-
-
 def test_kernels_deterministic():
     rng = np.random.default_rng(10)
     m = random_complex(rng, (6, 8))
@@ -174,8 +130,4 @@ def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
-        SolverOptions(rho=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(tol_rel=0.0, tol_abs=0.0)
-    lo, hi = SolverOptions(rho=2.0).rho_bounds()
-    assert lo < 2.0 < hi
+        SolverOptions(tol_rel=0.0)
