@@ -53,7 +53,7 @@ from .measurements import (
     check_observability,
     normalize_rows,
 )
-from .powerflow import PowerFlowError, PowerFlowOptions, PowerFlowSolution, solve_ac_power_flow
+from .powerflow import PowerFlowError, PowerFlowSolution, solve_ac_power_flow
 from .testsystems import bundled_case_path, default_plan, load_bundled_case, system_names
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ count that differs from its channel count when it is made.
 
 Serialization is lossless in both directions: a documented CSV layout
 ("# key: value" metadata lines, a label header, complex entries as
-"<re><+/-><im>j" with 17 significant digits) and an .npz cache.
+"<re><+/-><im>j" with 17 significant digits) and an .npz cache. The CSV
+reader names the file and the bad sample, channel or metadata key of a
+malformed input.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 from .admittance import build_admittances
 from .cases import GridCase
-from .loads import DisturbancePolicy, LoadTrajectory, perturb_loads
+from .loads import DisturbancePolicy, perturb_loads
 from .measurements import DependencyMatrix, PmuPlan, build_measurement_matrix
-from .powerflow import PowerFlowOptions, PowerFlowError, solve_ac_power_flow
+from .powerflow import PowerFlowError, solve_ac_power_flow
 
 _FMT = "%.17g"
 
@@ -106,14 +108,12 @@ def generate_block(
     duration_s: float,
     rate_hz: float,
     seed: int,
-    onset: int | None = None,
     policy: DisturbancePolicy | None = None,
-    pf_options: PowerFlowOptions | None = None,
 ) -> tuple[StateBlock, MeasurementBlock, DependencyMatrix]:
     """Simulate *duration_s* seconds of PMU data at *rate_hz*.
 
-    The disturbance onset defaults to the first instant after one second.
-    The first instant is solved from a flat start and each later instant
+    The disturbance starts at the first instant after one second. The
+    first instant is solved from a flat start and each later instant
     warm-starts from the previous solution. Power-flow failures propagate
     with the offending instant attached.
     """
@@ -121,22 +121,9 @@ def generate_block(
     n_steps = int(round(steps))
     if abs(steps - n_steps) > 1e-9 or n_steps < 1:
         raise ValueError(f"duration*rate must be a positive integer, got {steps}")
-    if onset is None:
-        onset = int(round(rate_hz)) + 1
-    traj = perturb_loads(case, n_steps, onset, seed, policy)
-    return _solve_trajectory(case, plan, traj, rate_hz, pf_options)
-
-
-def _solve_trajectory(
-    case: GridCase,
-    plan: PmuPlan,
-    traj: LoadTrajectory,
-    rate_hz: float,
-    pf_options: PowerFlowOptions | None = None,
-) -> tuple[StateBlock, MeasurementBlock, DependencyMatrix]:
     dep = build_measurement_matrix(case, plan)
     adm = build_admittances(case)
-    n_steps = traj.n_steps
+    traj = perturb_loads(case, n_steps, int(round(rate_hz)) + 1, seed, policy)
     x = np.empty((n_steps, case.n_bus), dtype=complex)
     iterations = []
     mismatches = []
@@ -151,9 +138,7 @@ def _solve_trajectory(
             mismatches.append(mismatches[-1])
             continue
         try:
-            sol = solve_ac_power_flow(
-                case, traj.pd[t], traj.qd[t], adm=adm, v0=v_prev, options=pf_options
-            )
+            sol = solve_ac_power_flow(case, traj.pd[t], traj.qd[t], adm=adm, v0=v_prev)
         except PowerFlowError as exc:
             raise PowerFlowError(
                 f"power flow failed at instant {t + 1}: {exc}",
@@ -207,12 +192,14 @@ def write_block_csv(block: MeasurementBlock, path: str | Path) -> None:
 
 
 def read_block_csv(path: str | Path) -> MeasurementBlock:
+    """Read the layout of :func:`write_block_csv`. A malformed file raises
+    ValueError naming the file and the bad sample, channel or metadata key.
+    """
     meta = {}
     rows = []
     labels: tuple[str, ...] = ()
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
+        for row in csv.reader(fh):
             if not row:
                 continue
             if row[0].startswith("#"):
@@ -222,12 +209,24 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
             if not labels:
                 labels = tuple(row[1:])
                 continue
-            rows.append([complex(c) for c in row[1:]])
+            if len(row) != len(labels) + 1:
+                raise ValueError(f"{path}: sample {row[0]} has {len(row) - 1} "
+                                 f"entries, expected {len(labels)}")
+            entries = []
+            for label, cell in zip(labels, row[1:]):
+                try:
+                    entries.append(complex(cell))
+                except ValueError:
+                    raise ValueError(f"{path}: sample {row[0]}, channel {label!r}: "
+                                     f"bad entry {cell!r}") from None
+            rows.append(entries)
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
-    z = np.array(rows, dtype=complex)
+    for key in ("rate_hz", "start_index"):
+        if key not in meta:
+            raise ValueError(f"{path}: missing '# {key}:' line")
     return MeasurementBlock(
-        z=z,
+        z=np.array(rows, dtype=complex),
         rate_hz=float(meta["rate_hz"]),
         start_index=int(meta["start_index"]),
         labels=labels,

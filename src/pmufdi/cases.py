@@ -2,13 +2,15 @@
 
 The accepted format is the common matrix-based case format: a MATLAB-style
 file assigning ``baseMVA`` plus ``bus``, ``gen`` and ``branch`` tables to a
-struct. Only the columns listed below are interpreted; trailing columns are
-ignored so standard files load unchanged.
+struct. Each row must have at least the standard columns listed below,
+of which only the starred ones are read; trailing columns are ignored so
+standard files load unchanged.
 
-bus:    bus_i, type (1 PQ / 2 PV / 3 slack), Pd, Qd, Gs, Bs, area, Vm, Va,
-        baseKV, zone, Vmax, Vmin
-gen:    bus, Pg, Qg, Qmax, Qmin, Vg, mBase, status, Pmax, Pmin
-branch: fbus, tbus, r, x, b, rateA, rateB, rateC, ratio, angle, status
+bus:    bus_i*, type* (1 PQ / 2 PV / 3 slack), Pd*, Qd*, Gs*, Bs*, area,
+        Vm*, Va*, baseKV, zone, Vmax, Vmin
+gen:    bus*, Pg*, Qg*, Qmax, Qmin, Vg*, mBase, status*, Pmax, Pmin
+branch: fbus*, tbus*, r*, x*, b*, rateA, rateB, rateC, ratio*, angle*,
+        status*
 
 All MW/MVar quantities are converted to per-unit on the system MVA base at
 parse time. Bus and branch ordering is the file order; branch ids are the
@@ -49,7 +51,6 @@ class Bus:
     qd: float          # reactive demand, p.u.
     gs: float          # shunt conductance, p.u.
     bs: float          # shunt susceptance, p.u.
-    base_kv: float
     vm: float
     va_deg: float
 
@@ -75,8 +76,6 @@ class Generator:
     bus: int
     pg: float
     qg: float
-    qmax: float
-    qmin: float
     vg: float
 
 
@@ -226,7 +225,7 @@ def parse_case(text: str, name: str = "") -> GridCase:
             id=int(row[0]), type=int(row[1]),
             pd=row[2] / base, qd=row[3] / base,
             gs=row[4] / base, bs=row[5] / base,
-            base_kv=row[9], vm=row[7], va_deg=row[8],
+            vm=row[7], va_deg=row[8],
         ))
 
     gens = []
@@ -237,9 +236,7 @@ def parse_case(text: str, name: str = "") -> GridCase:
             raise CaseError(f"generator at bus {int(row[0])} is out of service")
         gens.append(Generator(
             bus=int(row[0]),
-            pg=row[1] / base, qg=row[2] / base,
-            qmax=row[3] / base, qmin=row[4] / base,
-            vg=row[5],
+            pg=row[1] / base, qg=row[2] / base, vg=row[5],
         ))
 
     branches = []

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("lambda weight must be positive")
         if self.max_set_size < 1:
             raise ConfigError("max_set_size must be >= 1")
+        if self.limit is not None and self.limit < 0:
+            raise ConfigError("limit must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -99,7 +101,6 @@ class ExperimentConfig:
             if self.plan is None:
                 raise ConfigError("a plan section is required with case_path")
             plan = self.plan
-        plan.validate(case)
         return case, plan
 
     def build_block(self) -> tuple[GridCase, MeasurementBlock, DependencyMatrix]:

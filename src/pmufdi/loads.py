@@ -71,10 +71,6 @@ class LoadTrajectory:
     seed: int
     clamped: int            # number of negative draws clamped to zero
 
-    @property
-    def n_steps(self) -> int:
-        return self.pd.shape[0]
-
 
 def perturb_loads(
     case: GridCase,

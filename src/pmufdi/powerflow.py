@@ -7,9 +7,11 @@ The mismatch and Jacobian use the complex formulation
     dS/dVm = diag(V) conj(Ybus diag(V/|V|)) + conj(diag(I)) diag(V/|V|)
 
 with active-power rows for all non-slack buses and reactive rows for PQ
-buses. PV-bus voltage magnitudes are held at their setpoints and the
-slack bus absorbs the residual injection. Reactive limits are not
-enforced; bus types stay fixed throughout the solve.
+buses. Each diag(.) product is applied as a row or column scaling, so
+building the Jacobian costs O(n^2). PV-bus voltage magnitudes are held
+at their setpoints and the slack bus absorbs the residual injection.
+Reactive limits are not enforced; bus types stay fixed throughout the
+solve.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .admittance import AdmittanceSet, build_admittances
-from .cases import PQ, PV, SLACK, GridCase
+from .cases import PQ, SLACK, GridCase
 
 
 class PowerFlowError(RuntimeError):
@@ -32,10 +34,8 @@ class PowerFlowError(RuntimeError):
         self.iterations = iterations
 
 
-@dataclass(frozen=True)
-class PowerFlowOptions:
-    tol: float = 1e-8        # max |S mismatch| in p.u.
-    max_iter: int = 20
+_TOL = 1e-8          # converged once max |S mismatch| (p.u.) is at most this
+_MAX_ITER = 20       # Newton steps before PowerFlowError
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,25 @@ def _voltage_setpoints(case: GridCase) -> np.ndarray:
     return vm
 
 
+def _jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: np.ndarray,
+              pq: np.ndarray) -> np.ndarray:
+    """Real Jacobian of the mismatch with respect to va[pvpq] and vm[pq]."""
+    ibus = ybus @ v
+    vnorm = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - ybus * v)
+    ds_dvm = v[:, None] * np.conj(ybus * vnorm) + np.diag(np.conj(ibus) * vnorm)
+    return np.block([
+        [ds_dva.real[np.ix_(pvpq, pvpq)], ds_dvm.real[np.ix_(pvpq, pq)]],
+        [ds_dva.imag[np.ix_(pq, pvpq)], ds_dvm.imag[np.ix_(pq, pq)]],
+    ])
+
+
 def solve_ac_power_flow(
     case: GridCase,
     pd: np.ndarray,
     qd: np.ndarray,
     adm: AdmittanceSet | None = None,
     v0: np.ndarray | None = None,
-    options: PowerFlowOptions | None = None,
 ) -> PowerFlowSolution:
     """Solve the power flow for per-bus demands *pd*, *qd* (p.u.).
 
@@ -77,7 +89,6 @@ def solve_ac_power_flow(
     and slack magnitudes at their setpoints. Raises
     :class:`PowerFlowError` on non-convergence or a singular Jacobian.
     """
-    opts = options or PowerFlowOptions()
     if not (np.all(np.isfinite(pd)) and np.all(np.isfinite(qd))):
         raise ValueError("demands must be finite")
     ybus = (adm or build_admittances(case)).ybus
@@ -94,8 +105,7 @@ def solve_ac_power_flow(
         va = np.angle(v0).astype(float)
     else:
         vm = np.ones(n)
-        va = np.zeros(n)
-        va[:] = np.deg2rad(case.buses[slack].va_deg)
+        va = np.full(n, np.deg2rad(case.buses[slack].va_deg))
     # pinned magnitudes override any start value
     fixed = types != PQ
     vm[fixed] = setpoints[fixed]
@@ -113,21 +123,11 @@ def solve_ac_power_flow(
     worst = float(np.max(np.abs(f))) if f.size else 0.0
     iterations = 0
 
-    while worst > opts.tol:
-        if iterations >= opts.max_iter:
+    while worst > _TOL:
+        if iterations >= _MAX_ITER:
             raise PowerFlowError("power flow did not converge", worst, iterations)
-        ibus = ybus @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        vnorm = v / np.abs(v)
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ np.diag(vnorm)) + np.conj(diag_i) @ np.diag(vnorm)
-        jac = np.block([
-            [ds_dva.real[np.ix_(pvpq, pvpq)], ds_dvm.real[np.ix_(pvpq, pq)]],
-            [ds_dva.imag[np.ix_(pq, pvpq)], ds_dvm.imag[np.ix_(pq, pq)]],
-        ])
         try:
-            dx = np.linalg.solve(jac, -f)
+            dx = np.linalg.solve(_jacobian(ybus, v, pvpq, pq), -f)
         except np.linalg.LinAlgError:
             raise PowerFlowError("singular power-flow Jacobian", worst, iterations) from None
         va[pvpq] += dx[: pvpq.size]

@@ -121,6 +121,38 @@ def test_csv_round_trip(tmp_path, ieee24_blocks):
     assert back.attacked == block.attacked
 
 
+def _cut_last_cell(line):
+    return line.rsplit(",", 1)[0] if line.startswith("40,") else line
+
+
+def _garble_second_cell(line):
+    if not line.startswith("40,"):
+        return line
+    cells = line.split(",")
+    cells[2] = "1.0+abcj"
+    return ",".join(cells)
+
+
+def _drop_rate(line):
+    return None if line.startswith("# rate_hz:") else line
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (_cut_last_cell, "sample 40 has 40 entries, expected 41"),
+    (_garble_second_cell, "sample 40, channel 'V:2'"),
+    (_drop_rate, "rate_hz"),
+], ids=["short-row", "bad-cell", "no-rate"])
+def test_malformed_csv_names_the_cause(tmp_path, ieee24_blocks, edit, cause):
+    _, block, _ = ieee24_blocks
+    path = tmp_path / "window.csv"
+    write_block_csv(block.window(31, 90), path)
+    lines = [edit(line) for line in path.read_text().splitlines()]
+    path.write_text("\n".join(line for line in lines if line is not None) + "\n")
+    with pytest.raises(ValueError, match=cause) as err:
+        read_block_csv(path)
+    assert str(path) in str(err.value)
+
+
 def test_npz_round_trip(tmp_path, ieee24_blocks):
     _, block, _ = ieee24_blocks
     path = tmp_path / "block.npz"

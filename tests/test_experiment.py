@@ -76,6 +76,9 @@ def test_config_validation_errors():
         small_cfg(weight=0.0)
     with pytest.raises(ConfigError):
         small_cfg(duration_s=5.003)
+    with pytest.raises(ConfigError, match="limit"):
+        small_cfg(limit=-1)
+    assert small_cfg(limit=0).limit == 0
     with pytest.raises(ConfigError):
         config_from_mapping({"system": "ieee24", "bogus_key": 1})
     with pytest.raises(ConfigError):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from pmufdi import powerflow
 from pmufdi.admittance import build_admittances
-from pmufdi.cases import parse_case
-from pmufdi.powerflow import PowerFlowError, PowerFlowOptions, solve_ac_power_flow
+from pmufdi.cases import PQ, SLACK, parse_case
+from pmufdi.powerflow import PowerFlowError, solve_ac_power_flow
 
 from oracles import gauss_seidel_power_flow
 
@@ -104,11 +105,37 @@ def test_nonconvergence_carries_mismatch(two_bus_case):
     assert err.value.iterations >= 1
 
 
-def test_iteration_budget_respected(two_bus_case):
+def test_iteration_budget_respected(two_bus_case, monkeypatch):
     pd, qd = _demands(two_bus_case)
+    monkeypatch.setattr(powerflow, "_MAX_ITER", 1)
     with pytest.raises(PowerFlowError):
-        solve_ac_power_flow(two_bus_case, pd * 3, qd * 3,
-                            options=PowerFlowOptions(max_iter=1))
+        solve_ac_power_flow(two_bus_case, pd * 3, qd * 3)
+
+
+def test_jacobian_matches_finite_differences(ieee24_case):
+    ybus = build_admittances(ieee24_case).ybus
+    types = np.array([b.type for b in ieee24_case.buses])
+    pq = np.flatnonzero(types == PQ)
+    pvpq = np.flatnonzero(types != SLACK)
+    rng = np.random.default_rng(3)
+    va = 0.2 * rng.standard_normal(ieee24_case.n_bus)
+    vm = 1.0 + 0.05 * rng.standard_normal(ieee24_case.n_bus)
+
+    def mismatch(x):
+        # the specified injection is constant, so S(V) stands in for S - S_spec
+        a, m = va.copy(), vm.copy()
+        a[pvpq], m[pq] = x[:pvpq.size], x[pvpq.size:]
+        v = m * np.exp(1j * a)
+        s = v * np.conj(ybus @ v)
+        return np.concatenate([s.real[pvpq], s.imag[pq]])
+
+    x0 = np.concatenate([va[pvpq], vm[pq]])
+    h = 1e-6
+    fd = np.column_stack([(mismatch(x0 + h * e) - mismatch(x0 - h * e)) / (2 * h)
+                          for e in np.eye(x0.size)])
+    jac = powerflow._jacobian(ybus, vm * np.exp(1j * va), pvpq, pq)
+    assert jac.shape == (x0.size, x0.size)
+    assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac))
 
 
 def test_nonfinite_demand_rejected(two_bus_case):
