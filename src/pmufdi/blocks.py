@@ -222,16 +222,23 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
             rows.append(entries)
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
-    for key in ("rate_hz", "start_index"):
-        if key not in meta:
+
+    def number(key, convert, default=None):
+        text = meta.get(key, default)
+        if text is None:
             raise ValueError(f"{path}: missing '# {key}:' line")
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"{path}: bad '# {key}:' value {text!r}") from None
+
     return MeasurementBlock(
         z=np.array(rows, dtype=complex),
-        rate_hz=float(meta["rate_hz"]),
-        start_index=int(meta["start_index"]),
+        rate_hz=number("rate_hz", float),
+        start_index=number("start_index", int),
         labels=labels,
         dependency_digest=meta.get("dependency", ""),
-        attacked=bool(int(meta.get("attacked", "0"))),
+        attacked=bool(number("attacked", int, "0")),
     )
 
 

@@ -129,7 +129,7 @@ def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
 @click.option("--limit", type=int, default=None,
               help="cap the number of attacked sets per window")
 @click.option("--workers", type=int, default=None,
-              help="scenario worker threads")
+              help="scenario threads, each running BLAS single-threaded")
 def experiment(config_path, seed, out_dir, weight, max_set_size,
                limit, workers):
     """Run the full pipeline and write the report directory.

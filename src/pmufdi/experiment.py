@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__ as _version
@@ -27,7 +28,7 @@ from .attack_sets import enumerate_attack_sets
 from .blocks import MeasurementBlock, generate_block, singular_spectrum, write_block_csv, write_block_npz
 from .cases import GridCase, load_case
 from .detector import Outcome, ThresholdPolicy, classify_outcome, detect
-from .kernels import SolverOptions, nuclear_norm
+from .kernels import BLAS_THREADS, SolverOptions, nuclear_norm
 from .loads import DisturbancePolicy
 from .measurements import DependencyMatrix, PmuPlan
 from .report import ExperimentReport, ScenarioRow, SweepRow, aggregate_rows, write_spectrum
@@ -295,7 +296,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, f
         "versions": {
             "pmufdi": _version,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": platform.python_version(),
+            "blas_threads": BLAS_THREADS,
         },
     }
     report = ExperimentReport(

@@ -24,17 +24,65 @@ when both the primal residual ||M + A(x) - b|| and the dual residual
 rho ||A(x) - A(x_prev)|| fall below tol_rel * ||b||_F, and rebalances
 the penalty by doubling/halving it when one residual exceeds the other
 tenfold.
+
+Importing this module sets the OpenBLAS copies bundled with the numpy
+and scipy wheels to one thread for the whole process, whatever
+``OPENBLAS_NUM_THREADS`` says and whether or not numpy was imported
+first. Parallelism comes from scenario threads instead. A multi-threaded
+BLAS changes the summation order of its kernels, so the bits of a block,
+an SVD or a Newton solve, and hence of the reports, would otherwise
+depend on the thread count; two scenario threads each running a
+multi-threaded BLAS also oversubscribe the cores. :data:`BLAS_THREADS`
+holds the count the libraries read back, 1, or ``None``, with one
+logged warning, where either is not found, as with a BLAS other than
+the wheels' own.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
 from collections.abc import Callable
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 import scipy.linalg
 
+log = logging.getLogger(__name__)
+
+
+def _set_one_thread(package, pattern: str, symbol_suffix: str) -> int | None:
+    """Set the OpenBLAS bundled in *package*'s wheel to one thread and
+    return the count it reads back; None if it is not found."""
+    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+    for path in sorted(libs.glob(pattern)):
+        try:
+            lib = ctypes.CDLL(str(path))
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{symbol_suffix}")
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{symbol_suffix}")
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter(1)
+        return getter()
+    return None
+
+
+def _pin_blas_threads() -> int | None:
+    counts = [_set_one_thread(np, "libscipy_openblas64_*.so", "64_"),
+              _set_one_thread(scipy, "libscipy_openblas-*.so", "")]
+    if None in counts:
+        log.warning("the wheels' bundled OpenBLAS was not found; the BLAS thread "
+                    "count is not pinned, and reports may depend on it")
+        return None
+    return max(counts)
+
+
+# read by the experiment's meta.json, which thereby names the thread policy
+BLAS_THREADS = _pin_blas_threads()
 
 _RESIDUAL_GAP = 10.0
 # starting penalty; the data are normalized to unit Frobenius norm, so it

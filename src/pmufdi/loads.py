@@ -67,8 +67,6 @@ class DisturbancePolicy:
 class LoadTrajectory:
     pd: np.ndarray          # (T, n_bus) active demand, p.u.
     qd: np.ndarray          # (T, n_bus) reactive demand, p.u.
-    onset: int              # first disturbed instant, 1-based
-    seed: int
     clamped: int            # number of negative draws clamped to zero
 
 
@@ -120,4 +118,4 @@ def perturb_loads(
 
     pd.setflags(write=False)
     qd.setflags(write=False)
-    return LoadTrajectory(pd=pd, qd=qd, onset=onset, seed=seed, clamped=clamped)
+    return LoadTrajectory(pd=pd, qd=qd, clamped=clamped)

@@ -137,11 +137,18 @@ def _drop_rate(line):
     return None if line.startswith("# rate_hz:") else line
 
 
+def _set_meta(key, value):
+    return lambda line: f"# {key}: {value}" if line.startswith(f"# {key}:") else line
+
+
 @pytest.mark.parametrize("edit, cause", [
     (_cut_last_cell, "sample 40 has 40 entries, expected 41"),
     (_garble_second_cell, "sample 40, channel 'V:2'"),
     (_drop_rate, "rate_hz"),
-], ids=["short-row", "bad-cell", "no-rate"])
+    (_set_meta("rate_hz", "abc"), "bad '# rate_hz:' value 'abc'"),
+    (_set_meta("start_index", "3.5"), "bad '# start_index:' value '3.5'"),
+    (_set_meta("attacked", "yes"), "bad '# attacked:' value 'yes'"),
+], ids=["short-row", "bad-cell", "no-rate", "bad-rate", "bad-start", "bad-attacked"])
 def test_malformed_csv_names_the_cause(tmp_path, ieee24_blocks, edit, cause):
     _, block, _ = ieee24_blocks
     path = tmp_path / "window.csv"

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pmufdi import experiment
+from pmufdi import experiment, kernels
 from pmufdi.detector import Outcome
 from pmufdi.experiment import (
     ConfigError,
@@ -33,7 +36,8 @@ from pmufdi.report import (
 
 from conftest import TWO_BUS_NO_LOAD_CASE
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO_DIR = Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO_DIR / "configs"
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -263,6 +267,31 @@ def test_worker_pool_matches_serial(tmp_path):
     assert serial.aggregates == threaded.aggregates
 
 
+def test_report_bytes_independent_of_threads(tmp_path):
+    # each run is a fresh process, so the BLAS library starts at the
+    # thread count of its OPENBLAS_NUM_THREADS before the package pins it
+    reports = {}
+    for workers in (1, 2):
+        for threads in ("1", "2"):
+            out = tmp_path / f"w{workers}-t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(REPO_DIR / "src"))
+            subprocess.run(
+                [sys.executable, "-m", "pmufdi.cli", "experiment",
+                 "--config", str(CONFIG_DIR / "ieee118.yaml"), "--limit", "1",
+                 "--workers", str(workers), "--out-dir", str(out)],
+                env=env, cwd=tmp_path, check=True, capture_output=True, timeout=300,
+            )
+            reports[workers, threads] = {
+                name: (out / name).read_bytes()
+                for name in ("scenarios.csv", "aggregates.csv", "spectrum.csv", "meta.json")
+            }
+    first = reports[1, "1"]
+    assert json.loads(first["meta.json"])["versions"]["blas_threads"] == 1
+    for key, files in reports.items():
+        assert files == first, key
+
+
 def test_aggregates_recomputable():
     rows = [
         ScenarioRow(1, "w", 1, (8,), 10.0, 9.0, 0.9, "bypassed",
@@ -318,5 +347,7 @@ def test_meta_records_environment(tiny_report):
     meta = json.loads((out / "meta.json").read_text())
     assert meta["versions"]["pmufdi"]
     assert meta["versions"]["numpy"]
+    assert meta["versions"]["scipy"]
+    assert meta["versions"]["blas_threads"] == kernels.BLAS_THREADS
     assert meta["config"]["seed"] == 2024
     assert meta["in_set_detections"] == 0

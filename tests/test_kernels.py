@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from pmufdi import kernels
 from pmufdi.kernels import (
     SolverOptions,
     l12_norm,
@@ -14,6 +17,16 @@ from oracles import nuclear_norm_eig
 
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def test_blas_runs_on_one_thread():
+    assert kernels.BLAS_THREADS == 1
+
+
+def test_blas_pin_reports_a_missing_library(tmp_path):
+    package = SimpleNamespace(__file__=str(tmp_path / "fake" / "__init__.py"),
+                              __name__="fake")
+    assert kernels._set_one_thread(package, "libscipy_openblas*.so", "") is None
 
 
 # --- nuclear norm ----------------------------------------------------------
