@@ -19,12 +19,9 @@ from .blocks import (
     MeasurementBlock,
     StateBlock,
     generate_block,
-    load_block,
     read_block_csv,
-    read_block_npz,
     singular_spectrum,
     write_block_csv,
-    write_block_npz,
 )
 from .cases import Branch, Bus, CaseError, CaseSyntaxError, Generator, GridCase, load_case, parse_case
 from .detector import (

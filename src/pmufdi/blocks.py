@@ -8,17 +8,19 @@ is noise-free and satisfies Z = X H^T exactly. A block rejects
 non-finite entries, naming the first bad sample and channel, and a label
 count that differs from its channel count when it is made.
 
-Serialization is lossless in both directions: a documented CSV layout
+Blocks are stored in one lossless format, a documented CSV layout
 ("# key: value" metadata lines, a label header, complex entries as
-"<re><+/-><im>j" with 17 significant digits) and an .npz cache. The CSV
-reader names the file and the bad sample, channel or metadata key of a
-malformed input.
+"<re><+/-><im>j" with 17 significant digits and the sign bit of every
+part kept). The reader names the file and the bad sample, channel or
+metadata key of a malformed input, and the file of one that is not a
+block CSV at all.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -168,7 +170,9 @@ def singular_spectrum(block: MeasurementBlock) -> np.ndarray:
 
 
 def _format_complex(value: complex) -> str:
-    return f"{_FMT % value.real}{'+' if value.imag >= 0 else '-'}{_FMT % abs(value.imag)}j"
+    # the sign comes from the sign bit, so an imaginary part of -0.0 keeps it
+    sign = "-" if math.copysign(1.0, value.imag) < 0 else "+"
+    return f"{_FMT % value.real}{sign}{_FMT % abs(value.imag)}j"
 
 
 def write_block_csv(block: MeasurementBlock, path: str | Path) -> None:
@@ -195,31 +199,35 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     """Read the layout of :func:`write_block_csv`. A malformed file raises
     ValueError naming the file and the bad sample, channel or metadata key.
     """
+    try:
+        with open(path, newline="") as fh:
+            table = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: not a block CSV ({exc})") from None
     meta = {}
     rows = []
     labels: tuple[str, ...] = ()
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                key, _, value = row[0].lstrip("# ").partition(":")
-                meta[key.strip()] = value.strip()
-                continue
-            if not labels:
-                labels = tuple(row[1:])
-                continue
-            if len(row) != len(labels) + 1:
-                raise ValueError(f"{path}: sample {row[0]} has {len(row) - 1} "
-                                 f"entries, expected {len(labels)}")
-            entries = []
-            for label, cell in zip(labels, row[1:]):
-                try:
-                    entries.append(complex(cell))
-                except ValueError:
-                    raise ValueError(f"{path}: sample {row[0]}, channel {label!r}: "
-                                     f"bad entry {cell!r}") from None
-            rows.append(entries)
+    for row in table:
+        if not row:
+            continue
+        if row[0].startswith("#"):
+            key, _, value = row[0].lstrip("# ").partition(":")
+            meta[key.strip()] = value.strip()
+            continue
+        if not labels:
+            labels = tuple(row[1:])
+            continue
+        if len(row) != len(labels) + 1:
+            raise ValueError(f"{path}: sample {row[0]} has {len(row) - 1} "
+                             f"entries, expected {len(labels)}")
+        entries = []
+        for label, cell in zip(labels, row[1:]):
+            try:
+                entries.append(complex(cell))
+            except ValueError:
+                raise ValueError(f"{path}: sample {row[0]}, channel {label!r}: "
+                                 f"bad entry {cell!r}") from None
+        rows.append(entries)
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
 
@@ -240,34 +248,3 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
         dependency_digest=meta.get("dependency", ""),
         attacked=bool(number("attacked", int, "0")),
     )
-
-
-def write_block_npz(block: MeasurementBlock, path: str | Path) -> None:
-    np.savez_compressed(
-        path,
-        z=block.z,
-        rate_hz=block.rate_hz,
-        start_index=block.start_index,
-        labels=np.array(block.labels),
-        dependency=block.dependency_digest,
-        attacked=block.attacked,
-    )
-
-
-def read_block_npz(path: str | Path) -> MeasurementBlock:
-    with np.load(path, allow_pickle=False) as data:
-        return MeasurementBlock(
-            z=data["z"],
-            rate_hz=float(data["rate_hz"]),
-            start_index=int(data["start_index"]),
-            labels=tuple(str(s) for s in data["labels"]),
-            dependency_digest=str(data["dependency"]),
-            attacked=bool(data["attacked"]),
-        )
-
-
-def load_block(path: str | Path) -> MeasurementBlock:
-    path = Path(path)
-    if path.suffix == ".npz":
-        return read_block_npz(path)
-    return read_block_csv(path)

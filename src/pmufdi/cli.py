@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from .attack import design_attack
-from .blocks import load_block, write_block_csv, write_block_npz
+from .blocks import read_block_csv, write_block_csv
 from .detector import classify_outcome, detect
 from .experiment import ExperimentConfig, lambda_sweep, load_config, run_experiment, write_generated_block
 from .measurements import build_measurement_matrix
@@ -43,6 +43,21 @@ def _load(config_path, seed, out_dir, **more) -> ExperimentConfig:
     return load_config(config_path, seed=seed, out_dir=out_dir, **more)
 
 
+def _number_list(convert):
+    """A click callback that parses a comma-separated list with *convert*;
+    a bad item is a usage error naming the option."""
+    def parse(ctx, param, value):
+        if value is None:
+            return None
+        try:
+            return tuple(convert(item) for item in value.split(","))
+        except ValueError:
+            raise click.BadParameter(
+                f"{value!r} is not a comma-separated list of {convert.__name__}s"
+            ) from None
+    return parse
+
+
 @click.group()
 def main():
     """Synthesize PMU blocks, design measurement attacks, run detection."""
@@ -51,7 +66,7 @@ def main():
 @main.command()
 @_common_options
 def generate(config_path, seed, out_dir):
-    """Generate the synthetic block and write block.csv/.npz + spectrum.csv."""
+    """Generate the synthetic block and write block.csv and spectrum.csv."""
     cfg = _load(config_path, seed, out_dir)
     paths = write_generated_block(cfg, cfg.out_dir)
     for path in paths:
@@ -60,23 +75,21 @@ def generate(config_path, seed, out_dir):
 
 @main.command()
 @_common_options
-@click.option("--buses", required=True,
+@click.option("--buses", required=True, callback=_number_list(int),
               help="attacked-state set, comma separated bus ids (e.g. 8 or 8,9)")
 @click.option("--window", "window_index", type=int, default=1, show_default=True,
               help="1-based index into the config's detection windows")
 def attack(config_path, seed, out_dir, buses, window_index):
     """Design one attack and write the attacked block plus a summary row."""
     cfg = _load(config_path, seed, out_dir)
-    bus_ids = tuple(int(b) for b in buses.split(","))
     if not 1 <= window_index <= len(cfg.windows):
         raise click.BadParameter(f"window must be in 1..{len(cfg.windows)}")
     _, block, dep = cfg.build_block()
     first, last = cfg.windows[window_index - 1]
-    scen = design_attack(block.window(first, last), dep, bus_ids,
+    scen = design_attack(block.window(first, last), dep, buses,
                          options=cfg.solver)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_block_npz(scen.attacked_block, out / "attacked_block.npz")
     write_block_csv(scen.attacked_block, out / "attacked_block.csv")
     diag = scen.diagnostics
     write_table(out / "attack.csv",
@@ -87,28 +100,27 @@ def attack(config_path, seed, out_dir, buses, window_index):
                   scen.objective / scen.baseline_objective,
                   diag.iterations, diag.primal_residual, diag.dual_residual)])
     click.echo(f"objective {scen.objective:.6g} (clean {scen.baseline_objective:.6g})")
-    click.echo(str(out / "attacked_block.npz"))
+    click.echo(str(out / "attacked_block.csv"))
 
 
 @main.command("detect")
 @_common_options
 @click.option("--block", "block_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
-              help="measurement block (.csv or .npz)")
+              help="measurement block CSV, as written by generate or attack")
 @click.option("--lambda", "weight", type=float, default=None,
               help="detector weight (default from config)")
-@click.option("--injected", default=None,
+@click.option("--injected", default=None, callback=_number_list(int),
               help="attacked buses actually injected, for outcome labelling")
 def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
     """Run the detector on a stored block and write detection.csv."""
     cfg = _load(config_path, seed, out_dir, weight=weight)
     case, plan = cfg.load_grid()
     dep = build_measurement_matrix(case, plan)
-    block = load_block(block_path)
+    block = read_block_csv(block_path)
     result = detect(block, dep, weight=cfg.weight,
                     options=cfg.solver, thresholds=cfg.thresholds)
-    injected_buses = tuple(int(b) for b in injected.split(",")) if injected else None
-    outcome = classify_outcome(result, injected_buses)
+    outcome = classify_outcome(result, injected)
     write_table(Path(cfg.out_dir) / "detection.csv",
                 ["outcome", "weight", "objective", "feasibility_residual", "iterations",
                  "flagged_buses", "flagged_channels", "max_state_column_norm"],
@@ -153,13 +165,12 @@ def experiment(config_path, seed, out_dir, weight, max_set_size,
 
 @main.command()
 @_common_options
-@click.option("--lambdas", required=True,
+@click.option("--lambdas", required=True, callback=_number_list(float),
               help="comma-separated detector weights, e.g. 0.5,1.05,2,5")
 def sweep(config_path, seed, out_dir, lambdas):
     """Detector-weight sweep over fixed designed and naive attacks."""
     cfg = _load(config_path, seed, out_dir)
-    weights = [float(w) for w in lambdas.split(",")]
-    rows = lambda_sweep(cfg, weights)
+    rows = lambda_sweep(cfg, lambdas)
     path = write_records(Path(cfg.out_dir) / "lambda_sweep.csv", SweepRow, rows)
     for row in rows:
         click.echo(f"lambda={row.weight:g} {row.kind}: {row.outcome}")

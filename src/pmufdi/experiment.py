@@ -5,13 +5,16 @@ block, enumerates admissible attacked-state sets, designs and applies an
 attack per set and per detection window, runs the detector on every
 attacked window, and aggregates the outcomes into an
 :class:`~pmufdi.report.ExperimentReport`; :mod:`pmufdi.report` writes
-and reads it.
+and reads it. Every scenario runs on a thread pool of ``workers``
+threads, one thread included; the report does not depend on the count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import math
+import numbers
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +28,7 @@ import yaml
 from . import __version__ as _version
 from .attack import design_attack, naive_ramp_attack
 from .attack_sets import enumerate_attack_sets
-from .blocks import MeasurementBlock, generate_block, singular_spectrum, write_block_csv, write_block_npz
+from .blocks import MeasurementBlock, generate_block, singular_spectrum, write_block_csv
 from .cases import GridCase, load_case
 from .detector import Outcome, ThresholdPolicy, classify_outcome, detect
 from .kernels import BLAS_THREADS, SolverOptions, nuclear_norm
@@ -41,6 +44,15 @@ class ConfigError(ValueError):
     """Bad or inconsistent experiment configuration."""
 
 
+# top-level scalars and the type each must have; bool, inf and nan are
+# rejected for all
+_SCALAR_TYPES = {
+    "seed": numbers.Integral, "max_set_size": numbers.Integral,
+    "limit": numbers.Integral, "workers": numbers.Integral,
+    "duration_s": numbers.Real, "rate_hz": numbers.Real, "naive_scale": numbers.Real,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: str | None = None          # bundled system name, or
@@ -48,7 +60,6 @@ class ExperimentConfig:
     plan: PmuPlan | None = None        # defaults to the bundled plan
     duration_s: float = 5.0
     rate_hz: float = 30.0
-    window_length: int = 60
     windows: tuple[tuple[int, int], ...] = ((31, 90), (91, 150))
     seed: int = 2024
     weight: float = 1.05
@@ -64,6 +75,14 @@ class ExperimentConfig:
     naive_scale: float = 0.5
 
     def __post_init__(self):
+        for key, kind in _SCALAR_TYPES.items():
+            value = getattr(self, key)
+            if key == "limit" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or (isinstance(value, float) and not math.isfinite(value)):
+                noun = "an integer" if kind is numbers.Integral else "a finite number"
+                raise ConfigError(f"{key} must be {noun}, got {value!r}")
         if (self.system is None) == (self.case_path is None):
             raise ConfigError("exactly one of system/case_path must be set")
         if self.system is not None and self.system not in system_names():
@@ -72,18 +91,9 @@ class ExperimentConfig:
         n_total = int(round(total))
         if abs(total - n_total) > 1e-9 or n_total < 1:
             raise ConfigError("duration_s * rate_hz must be a positive integer")
-        if self.window_length > n_total:
-            raise ConfigError(
-                f"window_length {self.window_length} exceeds {n_total} samples"
-            )
         for a, b in self.windows:
             if not (1 <= a <= b <= n_total):
                 raise ConfigError(f"window {a}..{b} outside samples 1..{n_total}")
-            if b - a + 1 != self.window_length:
-                raise ConfigError(
-                    f"window {a}..{b} has length {b - a + 1}, expected "
-                    f"{self.window_length}"
-                )
         if self.weight <= 0:
             raise ConfigError("lambda weight must be positive")
         if self.max_set_size < 1:
@@ -149,8 +159,7 @@ def config_from_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentCo
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         kwargs["case_path"] = str(path)
-    for key in ("system", "duration_s", "rate_hz", "window_length", "seed",
-                "max_set_size", "limit", "workers", "out_dir", "naive_scale"):
+    for key in ("system", "out_dir", *_SCALAR_TYPES):
         if key in raw:
             kwargs[key] = raw.pop(key)
     for key, parse in _SECTIONS.items():
@@ -270,12 +279,9 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, f
     def run(task):
         return _run_scenario(*task, dep, cfg)
 
-    # both branches return the results in task order
-    if cfg.workers == 1:
-        results = [run(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, tasks))
+    # map returns the results in task order
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = list(pool.map(run, tasks))
     rows = [row for row, _ in results]
     timings = {row.scenario: seconds for row, seconds in results}
 
@@ -400,13 +406,11 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
 
 
 def write_generated_block(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
-    """Generate and persist the block (CSV + npz cache + spectrum CSV)."""
+    """Generate the block and write block.csv and its spectrum.csv."""
     _, block, _ = cfg.build_block()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "block.csv"
-    npz_path = out / "block.npz"
     write_block_csv(block, csv_path)
-    write_block_npz(block, npz_path)
     spath = write_spectrum(out / "spectrum.csv", {"full": singular_spectrum(block)})
-    return [csv_path, npz_path, spath]
+    return [csv_path, spath]

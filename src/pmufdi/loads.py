@@ -2,13 +2,13 @@
 
 From a chosen onset instant onwards, bus demands receive a zero-mean
 Gaussian active-power disturbance whose scale parameter decays as
-``magnitude / decay**(t - onset)``. The parameter is interpreted as a
-variance in MW^2 by default, and by default one value is drawn per
-instant and added to every bus; the variance/std reading, the MW/p.u.
-unit, and shared-vs-independent draws are all selectable; common
-descriptions of this disturbance scheme leave all three ambiguous. Reactive
-demand follows the perturbed active demand at the base power factor.
-Demands that would go negative are clamped at zero and counted.
+``magnitude / decay**(t - onset)``. Common descriptions of this scheme
+leave its reading ambiguous; here it is fixed: the parameter is a
+variance in MW^2, converted to per unit by the MVA base, and one value
+is drawn per instant and added to every bus, which keeps the
+disturbance essentially rank-one. Reactive demand follows the perturbed
+active demand at the base power factor. Demands that would go negative
+are clamped at zero and counted.
 """
 
 from __future__ import annotations
@@ -26,29 +26,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class DisturbancePolicy:
-    """How the decaying scale parameter is applied.
-
-    interpretation: "variance" (parameter is sigma^2) or "std" (parameter
-    is sigma). units: "mw" (parameter refers to MW, converted by the MVA
-    base) or "pu" (already per-unit). correlation: "shared" draws one
-    value per instant and adds it to every bus, which keeps the
-    disturbance essentially rank-one; "independent" draws per bus.
-    """
+    """The decaying disturbance variance: *magnitude* MW^2 at the onset
+    instant, divided by *decay* at every later instant."""
     magnitude: float = 60.0
     decay: float = 1.1
-    interpretation: str = "variance"
-    units: str = "mw"
-    correlation: str = "shared"
 
     def __post_init__(self):
-        if self.interpretation not in ("variance", "std"):
-            raise ValueError(f"interpretation must be variance|std, "
-                             f"got {self.interpretation!r}")
-        if self.units not in ("mw", "pu"):
-            raise ValueError(f"units must be mw|pu, got {self.units!r}")
-        if self.correlation not in ("shared", "independent"):
-            raise ValueError(f"correlation must be shared|independent, "
-                             f"got {self.correlation!r}")
         if self.magnitude < 0 or self.decay <= 0:
             raise ValueError("magnitude must be >= 0 and decay > 0")
 
@@ -58,9 +41,7 @@ class DisturbancePolicy:
 
     def sigma_pu(self, t: int, onset: int, base_mva: float) -> float:
         """Per-unit standard deviation of the draw at instant *t*."""
-        p = self.parameter(t, onset)
-        sigma = math.sqrt(p) if self.interpretation == "variance" else p
-        return sigma / base_mva if self.units == "mw" else sigma
+        return math.sqrt(self.parameter(t, onset)) / base_mva
 
 
 @dataclass(frozen=True)
@@ -80,8 +61,8 @@ def perturb_loads(
     """Build a *n_steps*-long demand trajectory for *case*.
 
     Instants 1..onset-1 repeat the base-case demand exactly; from *onset*
-    on, each bus's active demand gets an independent draw per instant with
-    the policy's decaying scale. Deterministic in (case, n_steps, onset,
+    on, every bus's active demand gets the same draw per instant, with the
+    policy's decaying scale. Deterministic in (case, n_steps, onset,
     seed, policy).
     """
     if not 1 <= onset <= n_steps:
@@ -102,10 +83,8 @@ def perturb_loads(
         sigma = policy.sigma_pu(t, onset, case.base_mva)
         if sigma == 0.0:
             draw = np.zeros(case.n_bus)
-        elif policy.correlation == "shared":
-            draw = np.full(case.n_bus, rng.normal(0.0, sigma))
         else:
-            draw = rng.normal(0.0, sigma, size=case.n_bus)
+            draw = np.full(case.n_bus, rng.normal(0.0, sigma))
         new_pd = base_pd + draw
         negative = new_pd < 0.0
         clamped += int(np.count_nonzero(negative))

@@ -1,15 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pmufdi.blocks import (
     MeasurementBlock,
     generate_block,
-    load_block,
     read_block_csv,
-    read_block_npz,
     singular_spectrum,
     write_block_csv,
-    write_block_npz,
 )
 
 
@@ -110,10 +109,13 @@ def test_window_selection(ieee24_blocks):
 
 def test_csv_round_trip(tmp_path, ieee24_blocks):
     _, block, _ = ieee24_blocks
+    z = block.z.copy()
+    z[0, 0] = complex(z[0, 0].real, -0.0)       # the sign of a zero survives too
+    block = dataclasses.replace(block, z=z)
     path = tmp_path / "block.csv"
     write_block_csv(block, path)
     back = read_block_csv(path)
-    assert np.array_equal(back.z, block.z)
+    assert np.array_equal(back.z.view(np.uint64), block.z.view(np.uint64))
     assert back.labels == block.labels
     assert back.rate_hz == block.rate_hz
     assert back.start_index == block.start_index
@@ -160,21 +162,13 @@ def test_malformed_csv_names_the_cause(tmp_path, ieee24_blocks, edit, cause):
     assert str(path) in str(err.value)
 
 
-def test_npz_round_trip(tmp_path, ieee24_blocks):
+def test_non_csv_file_names_the_file(tmp_path, ieee24_blocks):
     _, block, _ = ieee24_blocks
     path = tmp_path / "block.npz"
-    write_block_npz(block, path)
-    back = read_block_npz(path)
-    assert np.array_equal(back.z, block.z)
-    assert back.labels == block.labels
-
-
-def test_load_block_dispatch(tmp_path, ieee24_blocks):
-    _, block, _ = ieee24_blocks
-    write_block_csv(block, tmp_path / "b.csv")
-    write_block_npz(block, tmp_path / "b.npz")
-    assert np.array_equal(load_block(tmp_path / "b.csv").z,
-                          load_block(tmp_path / "b.npz").z)
+    np.savez_compressed(path, z=block.z)
+    with pytest.raises(ValueError, match="not a block CSV") as err:
+        read_block_csv(path)
+    assert str(path) in str(err.value)
 
 
 def test_column_accessor(ieee24_blocks):

@@ -1,10 +1,9 @@
 import re
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pmufdi.blocks import load_block
+from pmufdi.blocks import read_block_csv
 from pmufdi.cli import main
 
 CONFIG = """\
@@ -16,7 +15,6 @@ plan:
   to_branches: [1, 6, 8, 9, 10, 12, 13, 14, 16, 28, 34, 35]
 duration_s: 5.0
 rate_hz: 30
-window_length: 60
 windows:
   - [31, 90]
   - [91, 150]
@@ -43,19 +41,18 @@ def config_path(tmp_path):
 def test_generate(runner, config_path, tmp_path):
     result = runner.invoke(main, ["generate", "--config", str(config_path)])
     assert result.exit_code == 0, result.output
-    block = load_block(tmp_path / "out" / "block.npz")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["block.csv", "spectrum.csv"]
+    block = read_block_csv(tmp_path / "out" / "block.csv")
     assert block.n_steps == 150
-    csv_block = load_block(tmp_path / "out" / "block.csv")
-    assert np.array_equal(block.z, csv_block.z)
-    assert (tmp_path / "out" / "spectrum.csv").exists()
 
 
 def test_attack_and_detect(runner, config_path, tmp_path):
     result = runner.invoke(main, ["attack", "--config", str(config_path),
                                   "--buses", "8"])
     assert result.exit_code == 0, result.output
-    attacked = tmp_path / "out" / "attacked_block.npz"
-    assert attacked.exists()
+    attacked = tmp_path / "out" / "attacked_block.csv"
+    assert result.output.splitlines()[-1] == str(attacked)
+    assert read_block_csv(attacked).attacked
     assert (tmp_path / "out" / "attack.csv").read_text().splitlines()[0] == (
         "set_size,buses,clean_nuclear,attacked_nuclear,ratio,iterations,"
         "primal_residual,dual_residual")
@@ -76,7 +73,7 @@ def test_detect_rejects_nonpositive_lambda(runner, config_path, tmp_path):
     runner.invoke(main, ["generate", "--config", str(config_path)])
     result = runner.invoke(main, [
         "detect", "--config", str(config_path),
-        "--block", str(tmp_path / "out" / "block.npz"), "--lambda", "0",
+        "--block", str(tmp_path / "out" / "block.csv"), "--lambda", "0",
     ])
     assert result.exit_code != 0
     assert "weight" in str(result.exception)
@@ -87,7 +84,7 @@ def test_detect_clean_block(runner, config_path, tmp_path):
     runner.invoke(main, ["generate", "--config", str(config_path)])
     result = runner.invoke(main, [
         "detect", "--config", str(config_path),
-        "--block", str(tmp_path / "out" / "block.npz"),
+        "--block", str(tmp_path / "out" / "block.csv"),
     ])
     assert result.exit_code == 0, result.output
     assert "clean" in result.output
@@ -152,3 +149,17 @@ def test_attack_rejects_bad_window(runner, config_path):
     result = runner.invoke(main, ["attack", "--config", str(config_path),
                                   "--buses", "8", "--window", "9"])
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("args, option", [
+    (["attack", "--buses", "8,x"], "--buses"),
+    (["detect", "--block", "{block}", "--injected", "8,x"], "--injected"),
+    (["sweep", "--lambdas", "1,abc"], "--lambdas"),
+], ids=["buses", "injected", "lambdas"])
+def test_bad_list_option_is_a_usage_error(runner, config_path, tmp_path, args, option):
+    block = tmp_path / "block.csv"
+    block.write_text("t\n")
+    args = [arg.format(block=block) for arg in args]
+    result = runner.invoke(main, [*args, "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output

@@ -71,11 +71,7 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig(system="ieee24", case_path="x.m")   # both sources
     with pytest.raises(ConfigError):
-        small_cfg(windows=((31, 89),))                       # wrong length
-    with pytest.raises(ConfigError):
         small_cfg(windows=((100, 159),))                     # past the end
-    with pytest.raises(ConfigError):
-        small_cfg(window_length=151)
     with pytest.raises(ConfigError):
         small_cfg(weight=0.0)
     with pytest.raises(ConfigError):
@@ -98,9 +94,24 @@ def test_config_validation_errors():
                          ("trace", 5),
                          ("windows", 5),
                          ("windows", [[1, 2, 3]]),
-                         ("lambda", "abc")):
+                         ("lambda", "abc"),
+                         ("window_length", 60),
+                         ("seed", "abc"),
+                         ("seed", 1.5),
+                         ("seed", True),
+                         ("max_set_size", 2.5),
+                         ("limit", 2.5),
+                         ("workers", "2"),
+                         ("duration_s", "5"),
+                         ("duration_s", math.inf),
+                         ("rate_hz", None),
+                         ("rate_hz", math.nan),
+                         ("naive_scale", "x")):
         with pytest.raises(ConfigError, match=section):
             config_from_mapping({"system": "ieee24", section: bad})
+    for stale in ("interpretation", "units", "correlation"):
+        with pytest.raises(ConfigError, match=f"disturbance.*{stale}"):
+            config_from_mapping({"system": "ieee24", "disturbance": {stale: "x"}})
 
 
 @pytest.mark.parametrize("trace, name", [
@@ -171,7 +182,8 @@ def test_report_contents(tiny_report):
 def test_trace_series(tiny_report):
     cfg, report, out = tiny_report
     t, before, after = report.trace
-    assert len(t) == cfg.window_length
+    first, last = cfg.windows[0]
+    assert len(t) == last - first + 1
     assert t[0] == pytest.approx(31 / 30.0)
     assert np.all(before > 0)
     assert not np.array_equal(before, after)
