@@ -89,7 +89,7 @@ def detect(
     thresholds: ThresholdPolicy | None = None,
 ) -> DetectionResult:
     """Run the decomposition on *block* and identify attacked columns."""
-    if weight <= 0:
+    if not weight > 0:
         raise ValueError(f"weight must be positive, got {weight}")
     opts = options or SolverOptions()
     thresholds = thresholds or ThresholdPolicy()

@@ -17,6 +17,8 @@ import math
 import numbers
 import platform
 import time
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,13 +46,43 @@ class ConfigError(ValueError):
     """Bad or inconsistent experiment configuration."""
 
 
-# top-level scalars and the type each must have; bool, inf and nan are
-# rejected for all
-_SCALAR_TYPES = {
-    "seed": numbers.Integral, "max_set_size": numbers.Integral,
-    "limit": numbers.Integral, "workers": numbers.Integral,
-    "duration_s": numbers.Real, "rate_hz": numbers.Real, "naive_scale": numbers.Real,
-}
+# YAML key -> ExperimentConfig field, where the two differ
+_FIELDS = {"case": "case_path", "lambda": "weight",
+           "trace.channel": "trace_channel", "trace.buses": "trace_buses"}
+_KEYS = {name: key for key, name in _FIELDS.items()}
+# scalar annotation -> what its value must be, and the type it must have;
+# a bool is an integer to Python but no number in a config
+_SCALARS = {int: ("an integer", numbers.Integral), float: ("a finite number", numbers.Real),
+            str: ("a string", str)}
+
+
+def _require(key: str, value, kind) -> None:
+    """Raise :class:`ConfigError` naming *key* unless *value* has the annotated type
+    *kind*: a scalar of :data:`_SCALARS`, ``X | None``, a tuple of its item types,
+    or a dataclass checked field by field. Nothing is converted."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is types.UnionType:                   # X | None
+        if value is not None:
+            _require(key, value, args[0])
+    elif origin is tuple:
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, tuple) or n not in (None, len(value)):
+            raise ConfigError(f"{key} must be a tuple (a YAML list) of "
+                              f"{n or 'any number of'} items, got {value!r}")
+        for i, item in enumerate(value):
+            _require(f"{key}[{i}]", item, args[0] if n is None else args[i])
+    elif dataclasses.is_dataclass(kind):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
+        hints = typing.get_type_hints(kind)
+        for f in dataclasses.fields(kind):
+            _require(f"{key}.{f.name}" if key else _KEYS.get(f.name, f.name),
+                     getattr(value, f.name), hints[f.name])
+    else:
+        noun, base = _SCALARS[kind]
+        if not isinstance(value, base) or isinstance(value, bool) \
+                or (kind is float and not math.isfinite(value)):
+            raise ConfigError(f"{key} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,22 +107,17 @@ class ExperimentConfig:
     naive_scale: float = 0.5
 
     def __post_init__(self):
-        for key, kind in _SCALAR_TYPES.items():
-            value = getattr(self, key)
-            if key == "limit" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind) \
-                    or (isinstance(value, float) and not math.isfinite(value)):
-                noun = "an integer" if kind is numbers.Integral else "a finite number"
-                raise ConfigError(f"{key} must be {noun}, got {value!r}")
+        _require("", self, ExperimentConfig)       # YAML, overrides and code alike
         if (self.system is None) == (self.case_path is None):
             raise ConfigError("exactly one of system/case_path must be set")
         if self.system is not None and self.system not in system_names():
             raise ConfigError(f"unknown bundled system {self.system!r}")
         total = self.duration_s * self.rate_hz
-        n_total = int(round(total))
+        n_total = round(total)
         if abs(total - n_total) > 1e-9 or n_total < 1:
             raise ConfigError("duration_s * rate_hz must be a positive integer")
+        if not self.windows:
+            raise ConfigError("windows must list at least one window")
         for a, b in self.windows:
             if not (1 <= a <= b <= n_total):
                 raise ConfigError(f"window {a}..{b} outside samples 1..{n_total}")
@@ -127,59 +154,48 @@ class ExperimentConfig:
         return f"{t0:g}-{t1:g}s"
 
 
-def _plan_from_mapping(m: dict) -> PmuPlan:
-    return PmuPlan(
-        voltage_buses=tuple(int(x) for x in m["voltage_buses"]),
-        from_branches=tuple(int(x) for x in m.get("from_branches", ())),
-        to_branches=tuple(int(x) for x in m.get("to_branches", ())),
-    )
+def _tuples(value):
+    """A YAML value with its lists, at any depth, as tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-# config key -> parser of its value into ExperimentConfig keyword arguments
-_SECTIONS = {
-    "lambda": lambda v: {"weight": float(v)},
-    "plan": lambda m: {"plan": _plan_from_mapping(m)},
-    "windows": lambda v: {"windows": tuple((int(a), int(b)) for a, b in v)},
-    "disturbance": lambda m: {"disturbance": DisturbancePolicy(**m)},
-    "solver": lambda m: {"solver": SolverOptions(**m)},
-    "thresholds": lambda m: {"thresholds": ThresholdPolicy(**m)},
-    "trace": lambda m: {"trace_channel": m.get("channel"),
-                        "trace_buses": tuple(int(b) for b in m.get("buses", ()))},
-}
-_MAPPING_SECTIONS = ("plan", "disturbance", "solver", "thresholds", "trace")
+def _build(key: str, cls, mapping):
+    """Dataclass *cls* from the YAML mapping at *key* (empty at the top): each value is
+    checked, or built if a section, before *cls* runs its own checks."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{key} must be a mapping, got {mapping!r}")
+    hints, kwargs = typing.get_type_hints(cls), {}
+    for sub, value in mapping.items():
+        path = f"{key}.{sub}" if key else sub
+        name = _FIELDS.get(path, sub)
+        if name not in hints or _KEYS.get(name, path) != path:
+            raise ConfigError(f"unknown config key {path!r}")
+        kind, value = hints[name], _tuples(value)
+        section = next((k for k in (kind, *typing.get_args(kind))
+                        if dataclasses.is_dataclass(k)), None)
+        if section is None:
+            _require(path, value, kind)
+        kwargs[name] = value if section is None else _build(path, section, value)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):            # the top level's own checks
+            raise
+        raise ConfigError(f"{key}: {exc}") from None   # a section's missing key or range
 
 
 def config_from_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build a config from a parsed YAML mapping; any malformed value
-    raises :class:`ConfigError` naming its key."""
+    """Build a config from a parsed YAML mapping. Keys are renamed to
+    their fields and YAML lists become tuples; no value is converted.
+    Any malformed value raises :class:`ConfigError` naming its key."""
     raw = dict(raw)
-    kwargs: dict = {}
-    if "case" in raw:
-        path = Path(raw.pop("case"))
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        kwargs["case_path"] = str(path)
-    for key in ("system", "out_dir", *_SCALAR_TYPES):
-        if key in raw:
-            kwargs[key] = raw.pop(key)
-    for key, parse in _SECTIONS.items():
-        if key not in raw:
-            continue
-        value = raw.pop(key)
-        if key in _MAPPING_SECTIONS and not isinstance(value, dict):
-            raise ConfigError(f"{key} section must be a mapping, got {value!r}")
-        try:
-            kwargs.update(parse(value))
-        except KeyError as exc:
-            raise ConfigError(f"{key} section missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key} section: {exc}") from None
-    if raw:
-        raise ConfigError(f"unknown config keys: {sorted(raw)}")
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    trace = raw.pop("trace", {})
+    if not isinstance(trace, dict):
+        raise ConfigError(f"trace must be a mapping, got {trace!r}")
+    raw.update({f"trace.{k}": v for k, v in trace.items()})
+    if isinstance(raw.get("case"), str):
+        raw["case"] = str(Path(base_dir or "", raw["case"]))
+    return _build("", ExperimentConfig, raw)
 
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
@@ -189,11 +205,7 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     cfg = config_from_mapping(raw, base_dir=path.parent)
-    if overrides:
-        cfg = dataclasses.replace(
-            cfg, **{k: v for k, v in overrides.items() if v is not None}
-        )
-    return cfg
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _run_scenario(
@@ -231,16 +243,8 @@ def _run_scenario(
     except Exception as exc:  # recorded per scenario; the run continues
         log.warning("scenario %d (%s, %s) failed: %s",
                     scenario_id, window_label, buses, exc)
-        row = ScenarioRow(
-            scenario=scenario_id, window=window_label,
-            set_size=len(buses), buses=buses,
-            clean_nuclear=clean_nuclear, attacked_nuclear=float("nan"),
-            ratio=float("nan"), outcome="error",
-            attack_iterations=0, attack_primal=float("nan"),
-            attack_dual=float("nan"), detect_iterations=0,
-            detect_feasibility=float("nan"), max_state_column_norm=float("nan"),
-            flagged_buses=(), error=str(exc),
-        )
+        row = ScenarioRow(scenario_id, window_label, len(buses), buses,
+                          clean_nuclear, error=str(exc))
     return row, time.perf_counter() - started
 
 
@@ -339,14 +343,14 @@ def _outcome_counts(rows) -> dict[str, int]:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    def scrub(value):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return {k: scrub(v) for k, v in dataclasses.asdict(value).items()}
+    def scrub(value):               # as meta.json reads back: lists, at any depth
+        if isinstance(value, dict):
+            return {k: scrub(v) for k, v in value.items()}
         if isinstance(value, tuple):
             return [scrub(v) for v in value]
         return value
 
-    echo = {k: scrub(v) for k, v in dataclasses.asdict(cfg).items()}
+    echo = scrub(dataclasses.asdict(cfg))
     # where the report lands and how many threads ran it do not affect
     # its contents, so they stay out of the reproducibility record
     echo.pop("out_dir", None)
@@ -364,8 +368,8 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
     and the configured trace set (or the first admissible set); only the
     detector weight varies across the sweep.
     """
-    weights = tuple(float(w) for w in weights)
-    if not weights or any(w <= 0 for w in weights):
+    weights = tuple(weights)
+    if not weights or not all(w > 0 for w in weights):
         raise ConfigError("sweep weights must be a nonempty list of positives")
     case, block, dep = cfg.build_block()
     first, last = cfg.windows[0]
@@ -397,11 +401,7 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
                 ))
             except Exception as exc:
                 log.warning("sweep weight %g (%s) failed: %s", weight, kind, exc)
-                rows.append(SweepRow(
-                    weight=weight, kind=kind, outcome="error",
-                    flagged_buses=(), max_state_column_norm=float("nan"),
-                    error=str(exc),
-                ))
+                rows.append(SweepRow(weight, kind, error=str(exc)))
     return tuple(rows)
 
 

@@ -107,9 +107,9 @@ class SolverOptions:
     tol_rel: float = 1e-7
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol_rel <= 0:
+        if not self.tol_rel > 0:
             raise ValueError("tol_rel must be positive")
 
 
@@ -194,11 +194,7 @@ def _admm(
 
 def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m)
-    if np.iscomplexobj(m):
-        ok = np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))
-    else:
-        ok = np.all(np.isfinite(m))
-    if not ok:
+    if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

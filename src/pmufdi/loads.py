@@ -32,7 +32,7 @@ class DisturbancePolicy:
     decay: float = 1.1
 
     def __post_init__(self):
-        if self.magnitude < 0 or self.decay <= 0:
+        if not (self.magnitude >= 0 and self.decay > 0):
             raise ValueError("magnitude must be >= 0 and decay > 0")
 
     def parameter(self, t: int, onset: int) -> float:

@@ -27,8 +27,8 @@ class PlanError(ValueError):
 @dataclass(frozen=True)
 class PmuPlan:
     voltage_buses: tuple[int, ...]
-    from_branches: tuple[int, ...]
-    to_branches: tuple[int, ...]
+    from_branches: tuple[int, ...] = ()
+    to_branches: tuple[int, ...] = ()
 
     @property
     def n_measurements(self) -> int:

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -42,16 +43,17 @@ class ScenarioRow:
     set_size: int
     buses: tuple[int, ...]
     clean_nuclear: float
-    attacked_nuclear: float
-    ratio: float
-    outcome: str
-    attack_iterations: int
-    attack_primal: float
-    attack_dual: float
-    detect_iterations: int
-    detect_feasibility: float
-    max_state_column_norm: float
-    flagged_buses: tuple[int, ...]
+    # the defaults are an error row's, which has only its identity and error
+    attacked_nuclear: float = math.nan
+    ratio: float = math.nan
+    outcome: str = "error"
+    attack_iterations: int = 0
+    attack_primal: float = math.nan
+    attack_dual: float = math.nan
+    detect_iterations: int = 0
+    detect_feasibility: float = math.nan
+    max_state_column_norm: float = math.nan
+    flagged_buses: tuple[int, ...] = ()
     error: str = ""
 
 
@@ -72,9 +74,10 @@ class AggregateRow:
 class SweepRow:
     weight: float
     kind: str                       # "designed" or "naive"
-    outcome: str
-    flagged_buses: tuple[int, ...]
-    max_state_column_norm: float
+    # the defaults are an error row's, as in ScenarioRow
+    outcome: str = "error"
+    flagged_buses: tuple[int, ...] = ()
+    max_state_column_norm: float = math.nan
     error: str = ""
 
 

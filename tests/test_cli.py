@@ -69,15 +69,24 @@ def test_attack_and_detect(runner, config_path, tmp_path):
     assert row.startswith("bypassed,1.05,")
 
 
-def test_detect_rejects_nonpositive_lambda(runner, config_path, tmp_path):
+@pytest.mark.parametrize("weight", ["0", "nan"])
+def test_detect_rejects_nonpositive_lambda(runner, config_path, tmp_path, weight):
     runner.invoke(main, ["generate", "--config", str(config_path)])
     result = runner.invoke(main, [
         "detect", "--config", str(config_path),
-        "--block", str(tmp_path / "out" / "block.csv"), "--lambda", "0",
+        "--block", str(tmp_path / "out" / "block.csv"), "--lambda", weight,
     ])
     assert result.exit_code != 0
-    assert "weight" in str(result.exception)
+    assert "lambda" in str(result.exception)
     assert not (tmp_path / "out" / "detection.csv").exists()
+
+
+def test_sweep_rejects_nan_lambda(runner, config_path, tmp_path):
+    result = runner.invoke(main, ["sweep", "--config", str(config_path),
+                                  "--lambdas", "1.05,nan"])
+    assert result.exit_code != 0
+    assert "sweep weights" in str(result.exception)
+    assert not (tmp_path / "out" / "lambda_sweep.csv").exists()
 
 
 def test_detect_clean_block(runner, config_path, tmp_path):

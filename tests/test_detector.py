@@ -92,6 +92,8 @@ def test_weight_must_be_positive(ieee24_blocks):
         detect(block.window(31, 90), dep, weight=0.0)
     with pytest.raises(ValueError):
         detect(block.window(31, 90), dep, weight=-1.0)
+    with pytest.raises(ValueError):
+        detect(block.window(31, 90), dep, weight=float("nan"))
 
 
 def test_small_instances_match_subgradient_reference():

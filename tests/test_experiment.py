@@ -2,8 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from pmufdi.experiment import (
     load_config,
     run_experiment,
 )
+from pmufdi.kernels import SolverOptions
 from pmufdi.measurements import PmuPlan
 from pmufdi.report import (
     AggregateRow,
@@ -54,6 +58,9 @@ def test_shipped_configs_load():
     assert cfg24.windows == ((31, 90), (91, 150))
     assert cfg24.trace_channel == "F:11"
     assert cfg24.plan.n_measurements == 41
+
+    echo = experiment._config_echo(cfg24)
+    assert json.loads(json.dumps(echo)) == echo     # meta.json reads back equal
 
     cfg118 = load_config(CONFIG_DIR / "ieee118.yaml")
     assert cfg118.max_set_size == 1
@@ -112,6 +119,43 @@ def test_config_validation_errors():
     for stale in ("interpretation", "units", "correlation"):
         with pytest.raises(ConfigError, match=f"disturbance.*{stale}"):
             config_from_mapping({"system": "ieee24", "disturbance": {stale: "x"}})
+    # checked against the annotation, not converted
+    for section, bad, key in (("thresholds", {"rel": math.nan}, "thresholds.rel"),
+                              ("solver", {"tol_rel": math.nan}, "solver.tol_rel"),
+                              ("solver", {"max_iter": 2.5}, "solver.max_iter"),
+                              ("solver", {"max_iter": True}, "solver.max_iter"),
+                              ("disturbance", {"magnitude": math.nan}, "disturbance.magnitude"),
+                              ("disturbance", {"magnitude": True}, "disturbance.magnitude"),
+                              ("lambda", True, "lambda"),
+                              ("lambda", "1.5", "lambda"),
+                              ("lambda", math.nan, "lambda"),
+                              ("windows", [], "windows"),
+                              ("windows", [[31.5, 90]], "windows"),
+                              ("plan", {"voltage_buses": ["1"]}, "plan.voltage_buses"),
+                              ("trace", {"buses": [8.5]}, "trace.buses"),
+                              ("trace", {"chanel": "F:11"}, "trace.chanel")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_mapping({"system": "ieee24", section: bad})
+    # the same rule holds for a config built in code
+    with pytest.raises(ConfigError, match=re.escape("solver.max_iter")):
+        small_cfg(solver=SolverOptions(max_iter=2.5))
+
+
+def test_every_config_annotation_has_a_type_rule():
+    def leaves(kind):
+        origin, args = typing.get_origin(kind), typing.get_args(kind)
+        if origin is types.UnionType:
+            assert args[1:] == (type(None),), kind
+            yield from leaves(args[0])
+        elif origin is tuple:
+            yield from (leaf for arg in args if arg is not Ellipsis for leaf in leaves(arg))
+        elif dataclasses.is_dataclass(kind):
+            yield from (leaf for hint in typing.get_type_hints(kind).values()
+                        for leaf in leaves(hint))
+        else:
+            yield kind
+
+    assert set(leaves(ExperimentConfig)) <= set(experiment._SCALARS)
 
 
 @pytest.mark.parametrize("trace, name", [
@@ -352,6 +396,8 @@ def test_lambda_sweep_outcomes(tmp_path):
         lambda_sweep(cfg, [])
     with pytest.raises(ConfigError):
         lambda_sweep(cfg, [-1.0])
+    with pytest.raises(ConfigError):
+        lambda_sweep(cfg, [math.nan])
 
 
 def test_meta_records_environment(tiny_report):

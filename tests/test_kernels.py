@@ -90,6 +90,8 @@ def test_svt_rejects_bad_input():
         svt(np.eye(2), -1.0)
     with pytest.raises(ValueError):
         svt(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
+    with pytest.raises(ValueError):
+        svt(np.array([[complex(1.0, np.inf), 0.0], [0.0, 1.0]]), 1.0)
 
 
 # --- column shrinkage -------------------------------------------------------
@@ -144,3 +146,5 @@ def test_solver_options_validation():
         SolverOptions(max_iter=0)
     with pytest.raises(ValueError):
         SolverOptions(tol_rel=0.0)
+    with pytest.raises(ValueError):
+        SolverOptions(tol_rel=float("nan"))

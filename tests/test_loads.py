@@ -78,6 +78,8 @@ def test_policy_and_onset_validation(ieee24_case):
     with pytest.raises(ValueError):
         DisturbancePolicy(decay=0.0)
     with pytest.raises(ValueError):
+        DisturbancePolicy(magnitude=float("nan"))
+    with pytest.raises(ValueError):
         perturb_loads(ieee24_case, 10, 0, seed=1)
     with pytest.raises(ValueError):
         perturb_loads(ieee24_case, 10, 11, seed=1)
