@@ -119,6 +119,9 @@ def generate_block(
     warm-starts from the previous solution. Power-flow failures propagate
     with the offending instant attached.
     """
+    if not (duration_s > 0 and rate_hz > 0):
+        raise ValueError(f"duration and rate must be positive, got {duration_s!r} s "
+                         f"at {rate_hz!r} Hz")
     steps = duration_s * rate_hz
     n_steps = int(round(steps))
     if abs(steps - n_steps) > 1e-9 or n_steps < 1:

@@ -15,11 +15,11 @@ from pathlib import Path
 import click
 
 from .attack import design_attack
-from .blocks import read_block_csv, write_block_csv
+from .blocks import read_block_csv, singular_spectrum, write_block_csv
 from .detector import classify_outcome, detect
-from .experiment import ExperimentConfig, lambda_sweep, load_config, run_experiment, write_generated_block
+from .experiment import ExperimentConfig, lambda_sweep, load_config, run_experiment
 from .measurements import build_measurement_matrix
-from .report import SweepRow, save_report, write_records, write_table
+from .report import SweepRow, save_report, write_records, write_spectrum, write_table
 
 log = logging.getLogger("pmufdi")
 
@@ -68,9 +68,13 @@ def main():
 def generate(config_path, seed, out_dir):
     """Generate the synthetic block and write block.csv and spectrum.csv."""
     cfg = _load(config_path, seed, out_dir)
-    paths = write_generated_block(cfg, cfg.out_dir)
-    for path in paths:
-        click.echo(str(path))
+    _, block, _ = cfg.build_block()
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_block_csv(block, out / "block.csv")
+    write_spectrum(out / "spectrum.csv", {"full": singular_spectrum(block)})
+    click.echo(str(out / "block.csv"))
+    click.echo(str(out / "spectrum.csv"))
 
 
 @main.command()
@@ -152,8 +156,8 @@ def experiment(config_path, seed, out_dir, weight, max_set_size,
     cfg = _load(config_path, seed, out_dir,
                 weight=weight, max_set_size=max_set_size,
                 limit=limit, workers=workers)
-    report, timings = run_experiment(cfg)
-    save_report(report, cfg.out_dir, timings)
+    report = run_experiment(cfg)
+    save_report(report, cfg.out_dir)
     counts = report.meta["outcomes"]
     click.echo(f"{report.meta['n_scenarios']} scenarios: {counts}")
     click.echo(f"report: {cfg.out_dir}")

@@ -63,6 +63,12 @@ class ThresholdPolicy:
     rel: float = 1e-3
     floor: float = 1e-4
 
+    def __post_init__(self):
+        if not 0 <= self.rel < 1:
+            raise ValueError(f"rel must be in [0, 1), got {self.rel!r}")
+        if not self.floor >= 0:
+            raise ValueError(f"floor must be >= 0, got {self.floor!r}")
+
 
 @dataclass(frozen=True)
 class DetectionResult:

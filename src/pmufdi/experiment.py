@@ -30,13 +30,13 @@ import yaml
 from . import __version__ as _version
 from .attack import design_attack, naive_ramp_attack
 from .attack_sets import enumerate_attack_sets
-from .blocks import MeasurementBlock, generate_block, singular_spectrum, write_block_csv
+from .blocks import MeasurementBlock, generate_block, singular_spectrum
 from .cases import GridCase, load_case
 from .detector import Outcome, ThresholdPolicy, classify_outcome, detect
 from .kernels import BLAS_THREADS, SolverOptions, nuclear_norm
 from .loads import DisturbancePolicy
 from .measurements import DependencyMatrix, PmuPlan
-from .report import ExperimentReport, ScenarioRow, SweepRow, aggregate_rows, write_spectrum
+from .report import ExperimentReport, ScenarioRow, SweepRow
 from .testsystems import default_plan, load_bundled_case, system_names
 
 log = logging.getLogger(__name__)
@@ -112,6 +112,9 @@ class ExperimentConfig:
             raise ConfigError("exactly one of system/case_path must be set")
         if self.system is not None and self.system not in system_names():
             raise ConfigError(f"unknown bundled system {self.system!r}")
+        for key in ("duration_s", "rate_hz"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
         total = self.duration_s * self.rate_hz
         n_total = round(total)
         if abs(total - n_total) > 1e-9 or n_total < 1:
@@ -129,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError("limit must be >= 0")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if self.trace_channel is not None and not self.trace_buses:
+            raise ConfigError("trace.channel needs trace.buses, the attacked set it traces")
 
     def load_grid(self) -> tuple[GridCase, PmuPlan]:
         if self.system is not None:
@@ -250,7 +255,7 @@ def _run_scenario(
 
 def _check_trace(cfg: ExperimentConfig, case: GridCase, dep: DependencyMatrix) -> None:
     """Reject a trace channel or trace bus that the grid does not have."""
-    if cfg.trace_channel and cfg.trace_channel not in dep.row_labels:
+    if cfg.trace_channel is not None and cfg.trace_channel not in dep.row_labels:
         raise ConfigError(
             f"trace channel {cfg.trace_channel!r} is not a measurement channel of {case.name}"
         )
@@ -259,8 +264,8 @@ def _check_trace(cfg: ExperimentConfig, case: GridCase, dep: DependencyMatrix) -
         raise ConfigError(f"trace buses {unknown} are not buses of {case.name}")
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, float]]:
-    """Run the full pipeline; returns the report and per-scenario timings."""
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run the full pipeline; the report holds each scenario's wall time."""
     case, block, dep = cfg.build_block()
     _check_trace(cfg, case, dep)
     sets = enumerate_attack_sets(case, dep, cfg.max_set_size)
@@ -287,7 +292,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, f
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         results = list(pool.map(run, tasks))
     rows = [row for row, _ in results]
-    timings = {row.scenario: seconds for row, seconds in results}
 
     trace = _trace_series(cfg, block, dep)
 
@@ -311,20 +315,19 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ExperimentReport, dict[int, f
             "blas_threads": BLAS_THREADS,
         },
     }
-    report = ExperimentReport(
+    return ExperimentReport(
         rows=tuple(rows),
-        aggregates=aggregate_rows(rows),
         spectra=spectra,
         trace=trace,
         meta=meta,
+        seconds=tuple(seconds for _, seconds in results),
     )
-    return report, timings
 
 
 def _trace_series(cfg, block, dep):
     """Before/after series of the configured channel under an attack on
     the trace set, designed on the first detection window."""
-    if not (cfg.trace_channel and cfg.trace_buses):
+    if cfg.trace_channel is None:
         return None
     first, last = cfg.windows[0]
     window_block = block.window(first, last)
@@ -403,14 +406,3 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
                 log.warning("sweep weight %g (%s) failed: %s", weight, kind, exc)
                 rows.append(SweepRow(weight, kind, error=str(exc)))
     return tuple(rows)
-
-
-def write_generated_block(cfg: ExperimentConfig, out_dir: str | Path) -> list[Path]:
-    """Generate the block and write block.csv and its spectrum.csv."""
-    _, block, _ = cfg.build_block()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "block.csv"
-    write_block_csv(block, csv_path)
-    spath = write_spectrum(out / "spectrum.csv", {"full": singular_spectrum(block)})
-    return [csv_path, spath]

@@ -216,7 +216,7 @@ def _svd(m: np.ndarray):
 
 def svt(m: np.ndarray, tau: float) -> np.ndarray:
     """Singular value soft-thresholding, the prox of tau * nuclear norm."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     m = _require_finite(m, "matrix")
     u, s, vh = _svd(m)
@@ -231,7 +231,7 @@ def shrink_columns(c: np.ndarray, kappa: float) -> np.ndarray:
     Column j maps to max(1 - kappa/||c_j||, 0) * c_j; columns with norm at
     or below kappa (including zero columns) map to exactly zero.
     """
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError("kappa must be >= 0")
     c = _require_finite(c, "matrix")
     norms = np.linalg.norm(c, axis=0)

@@ -11,8 +11,9 @@ atomically, creating its directory. A dataclass fixes a table's columns:
 An experiment report is ``scenarios.csv``, ``aggregates.csv``,
 ``spectrum.csv``, an optional ``trace.csv``, ``meta.json`` and gnuplot
 scripts that reference only those CSVs. Everything in it is a
-deterministic function of (config, seed); per-scenario wall times go to
-the sidecar ``timings.csv``, which is excluded from that guarantee.
+deterministic function of (config, seed); the per-scenario wall times
+go to the sidecar ``timings.csv``, which is excluded from that guarantee.
+:func:`save_report` writes all of it and :func:`load_report` reads it back.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -98,10 +99,20 @@ class TraceRow:
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple[ScenarioRow, ...]
-    aggregates: tuple[AggregateRow, ...]
     spectra: dict[str, np.ndarray]           # window label -> singular values
     trace: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # t, before, after
     meta: dict
+    # per-scenario wall times in row order, or none recorded; they are
+    # not deterministic, so they stay out of equality and the contract
+    seconds: tuple[float, ...] = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if self.seconds and len(self.seconds) != len(self.rows):
+            raise ValueError(f"{len(self.seconds)} wall times for {len(self.rows)} rows")
+
+    @property
+    def aggregates(self) -> tuple[AggregateRow, ...]:
+        return aggregate_rows(self.rows)
 
     @property
     def in_set_detections(self) -> tuple[ScenarioRow, ...]:
@@ -221,41 +232,16 @@ def write_spectrum(path: str | Path, spectra: dict[str, np.ndarray]) -> Path:
 # ---------------------------------------------------------------------------
 # experiment reports
 
-def emit_csv(report: ExperimentReport, out_dir: str | Path,
-             timings: dict[int, float] | None = None) -> list[Path]:
-    """Write scenarios.csv, aggregates.csv, spectrum.csv (and trace.csv when
-    a trace was configured) plus meta.json into *out_dir*."""
-    out = Path(out_dir)
-    written = [
-        write_records(out / "scenarios.csv", ScenarioRow, report.rows),
-        write_records(out / "aggregates.csv", AggregateRow, report.aggregates),
-        write_spectrum(out / "spectrum.csv", report.spectra),
-    ]
-    if report.trace is not None:
-        written.append(write_records(out / "trace.csv", TraceRow,
-                                     (TraceRow(*r) for r in zip(*report.trace))))
-    written.append(write_text(out / "meta.json",
-                              json.dumps(report.meta, indent=2, sort_keys=True) + "\n"))
-    if timings is not None:
-        # wall times are inherently non-deterministic; kept out of the
-        # reproducibility contract on purpose
-        write_table(out / "timings.csv", ["scenario", "seconds"],
-                    ((sid, "%.6f" % timings[sid]) for sid in sorted(timings)))
-    return written
-
-
-def emit_plot_script(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
-    """Gnuplot scripts referencing only the CSVs written by emit_csv."""
-    out = Path(out_dir)
-    spectrum = """set datafile separator ','
+# gnuplot scripts; each plots one CSV of the report
+_SPECTRUM_GP = """set datafile separator ','
 set logscale y
 set xlabel 'index'
 set ylabel 'singular value'
 set key autotitle columnheader
 plot for [w in "{windows}"] 'spectrum.csv' \\
     using 2:($3)*(strcol(1) eq w ? 1 : NaN) with linespoints title w
-""".format(windows=" ".join(report.spectra))
-    aggregates = """set datafile separator ','
+"""
+_AGGREGATES_GP = """set datafile separator ','
 set xlabel 'attacked-set size'
 set ylabel 'post-attack nuclear norm'
 set key autotitle columnheader
@@ -263,32 +249,46 @@ windows = "{windows}"
 plot for [w in windows] 'aggregates.csv' \\
     using 2:(strcol(1) eq w ? $5 : NaN):(strcol(1) eq w ? $4 : NaN):(strcol(1) eq w ? $6 : NaN) \\
     with yerrorbars title w
-""".format(windows=" ".join(dict.fromkeys(a.window for a in report.aggregates)))
-    written = [write_text(out / "spectrum.gp", spectrum),
-               write_text(out / "aggregates.gp", aggregates)]
-    if report.trace is not None:
-        written.append(write_text(out / "trace.gp", """set datafile separator ','
+"""
+_TRACE_GP = """set datafile separator ','
 set xlabel 'time (s)'
 set ylabel 'current magnitude (p.u.)'
 plot 'trace.csv' using 1:2 with lines title 'before', \\
      'trace.csv' using 1:3 with lines title 'after'
-"""))
+"""
+
+
+def save_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
+    """Write all of *report* into *out_dir* and return every path written:
+    the CSVs (trace.csv only when a trace was configured), meta.json, the
+    gnuplot scripts and the sidecar timings.csv."""
+    out = Path(out_dir)
+    aggregates = report.aggregates
+    written = [
+        write_records(out / "scenarios.csv", ScenarioRow, report.rows),
+        write_records(out / "aggregates.csv", AggregateRow, aggregates),
+        write_spectrum(out / "spectrum.csv", report.spectra),
+        write_text(out / "meta.json", json.dumps(report.meta, indent=2, sort_keys=True) + "\n"),
+        write_text(out / "spectrum.gp", _SPECTRUM_GP.format(windows=" ".join(report.spectra))),
+        write_text(out / "aggregates.gp", _AGGREGATES_GP.format(
+            windows=" ".join(dict.fromkeys(a.window for a in aggregates)))),
+        write_table(out / "timings.csv", ["scenario", "seconds"],
+                    ((row.scenario, "%.6f" % t) for row, t in zip(report.rows, report.seconds))),
+    ]
+    if report.trace is not None:
+        written.append(write_records(out / "trace.csv", TraceRow,
+                                     (TraceRow(*r) for r in zip(*report.trace))))
+        written.append(write_text(out / "trace.gp", _TRACE_GP))
     return written
 
 
-def save_report(report: ExperimentReport, out_dir: str | Path,
-                timings: dict[int, float] | None = None) -> list[Path]:
-    return emit_csv(report, out_dir, timings) + emit_plot_script(report, out_dir)
-
-
 def load_report(out_dir: str | Path) -> ExperimentReport:
-    """Read a report directory back; re-derives the aggregates from the
-    scenario rows and refuses to load if they disagree with the stored ones.
+    """Read a report directory back, without its wall times; refuses to
+    load if the stored aggregates disagree with those of the stored rows.
     """
     out = Path(out_dir)
     rows = read_records(out / "scenarios.csv", ScenarioRow)
-    stored = read_records(out / "aggregates.csv", AggregateRow)
-    if stored != aggregate_rows(rows):
+    if read_records(out / "aggregates.csv", AggregateRow) != aggregate_rows(rows):
         raise ReportIntegrityError(
             f"{out}: stored aggregates do not match the scenario rows"
         )
@@ -301,7 +301,6 @@ def load_report(out_dir: str | Path) -> ExperimentReport:
         trace = tuple(np.array([dataclasses.astuple(p) for p in points]).reshape(-1, 3).T)
     return ExperimentReport(
         rows=rows,
-        aggregates=stored,
         spectra={k: np.array(v) for k, v in spectra.items()},
         trace=trace,
         meta=json.loads((out / "meta.json").read_text()),

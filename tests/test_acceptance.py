@@ -40,8 +40,8 @@ def check(number: int, name: str, condition: bool, detail: str = ""):
 def report24(tmp_path_factory):
     out = tmp_path_factory.mktemp("accept24")
     cfg = load_config(CONFIG_DIR / "ieee24.yaml", out_dir=str(out))
-    report, timings = run_experiment(cfg)
-    save_report(report, cfg.out_dir, timings)
+    report = run_experiment(cfg)
+    save_report(report, cfg.out_dir)
     return cfg, report, out
 
 
@@ -49,8 +49,8 @@ def report24(tmp_path_factory):
 def report118(tmp_path_factory):
     out = tmp_path_factory.mktemp("accept118")
     cfg = load_config(CONFIG_DIR / "ieee118.yaml", out_dir=str(out))
-    report, timings = run_experiment(cfg)
-    save_report(report, cfg.out_dir, timings)
+    report = run_experiment(cfg)
+    save_report(report, cfg.out_dir)
     return cfg, report, out
 
 
@@ -214,8 +214,8 @@ def test_criterion_8_reports_are_reproducible(report24, tmp_path_factory):
     cfg, _, first_out = report24
     out = tmp_path_factory.mktemp("accept24_rerun")
     rerun_cfg = load_config(CONFIG_DIR / "ieee24.yaml", out_dir=str(out))
-    report, timings = run_experiment(rerun_cfg)
-    save_report(report, rerun_cfg.out_dir, timings)
+    report = run_experiment(rerun_cfg)
+    save_report(report, rerun_cfg.out_dir)
     deterministic = ["scenarios.csv", "aggregates.csv", "spectrum.csv",
                      "trace.csv", "meta.json", "spectrum.gp",
                      "aggregates.gp", "trace.gp"]

@@ -34,6 +34,9 @@ def test_block_rejects_non_finite_entries_and_label_mismatch():
 def test_non_integral_sample_count_rejected(ieee24_case, ieee24_plan):
     with pytest.raises(ValueError, match="integer"):
         generate_block(ieee24_case, ieee24_plan, 5.01, 30.0, seed=1)
+    # a negative duration and rate have a positive product
+    with pytest.raises(ValueError, match="positive"):
+        generate_block(ieee24_case, ieee24_plan, -5.0, -30.0, seed=1)
 
 
 def test_pre_disturbance_rows_identical(ieee24_blocks):

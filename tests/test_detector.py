@@ -159,6 +159,16 @@ def test_identify_support_floor_suppresses_residue():
     assert states == (1, 2)
 
 
+def test_threshold_policy_range():
+    # rel >= 1 would flag no column at all, and NaN compares false
+    for bad, name in (({"rel": 1.0}, "rel"), ({"rel": -0.1}, "rel"),
+                      ({"rel": float("nan")}, "rel"), ({"floor": -1e-9}, "floor"),
+                      ({"floor": float("nan")}, "floor")):
+        with pytest.raises(ValueError, match=name):
+            ThresholdPolicy(**bad)
+    assert ThresholdPolicy(rel=0.0, floor=0.0).rel == 0.0
+
+
 def test_classify_outcome_table():
     empty = _result_with_norms([0.0], [0.0])
     assert classify_outcome(empty, None) is Outcome.CLEAN

@@ -31,7 +31,6 @@ from pmufdi.report import (
     ScenarioRow,
     SweepRow,
     aggregate_rows,
-    emit_csv,
     load_report,
     read_records,
     save_report,
@@ -136,6 +135,16 @@ def test_config_validation_errors():
                               ("trace", {"chanel": "F:11"}, "trace.chanel")):
         with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_mapping({"system": "ieee24", section: bad})
+    # range checks name their key; each mapping passes the type rule
+    for bad, key in (({"thresholds": {"rel": 2.0}}, "thresholds: rel"),
+                     ({"thresholds": {"rel": -0.1}}, "thresholds: rel"),
+                     ({"thresholds": {"floor": -1}}, "thresholds: floor"),
+                     ({"duration_s": -5, "rate_hz": -30}, "duration_s must be positive"),
+                     ({"rate_hz": -30}, "rate_hz must be positive"),
+                     ({"trace": {"channel": "F:11"}}, "trace.buses")):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_mapping({"system": "ieee24", **bad})
+    assert config_from_mapping({"system": "ieee24", "trace": {"buses": [8]}}).trace_buses == (8,)
     # the same rule holds for a config built in code
     with pytest.raises(ConfigError, match=re.escape("solver.max_iter")):
         small_cfg(solver=SolverOptions(max_iter=2.5))
@@ -187,14 +196,14 @@ def test_no_admissible_sets_yields_empty_report(tmp_path):
         max_set_size=1,
         out_dir=str(tmp_path / "out"),
     )
-    report, timings = run_experiment(cfg)
+    report = run_experiment(cfg)
     assert report.rows == ()
     assert report.exit_code == 0
-    paths = emit_csv(report, cfg.out_dir, timings)
+    paths = save_report(report, cfg.out_dir)
     names = {p.name for p in paths}
-    assert {"scenarios.csv", "aggregates.csv", "spectrum.csv"} <= names
-    scenarios = (tmp_path / "out" / "scenarios.csv").read_text().splitlines()
-    assert len(scenarios) == 1      # header only
+    assert {"scenarios.csv", "aggregates.csv", "spectrum.csv", "timings.csv"} <= names
+    for name in ("scenarios.csv", "timings.csv"):
+        assert len((tmp_path / "out" / name).read_text().splitlines()) == 1   # header only
 
 
 @pytest.fixture(scope="module")
@@ -202,13 +211,12 @@ def tiny_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_report")
     cfg = small_cfg(out_dir=str(out), trace_channel="F:11", trace_buses=(8,),
                     limit=3)
-    report, timings = run_experiment(cfg)
-    save_report(report, cfg.out_dir, timings)
-    return cfg, report, out
+    report = run_experiment(cfg)
+    return cfg, report, out, save_report(report, cfg.out_dir)
 
 
 def test_report_contents(tiny_report):
-    cfg, report, out = tiny_report
+    cfg, report, out, written = tiny_report
     assert report.meta["n_scenarios"] == 6      # 3 sets x 2 windows
     assert report.meta["outcomes"] == {"bypassed": 6}
     assert report.exit_code == 0
@@ -217,14 +225,21 @@ def test_report_contents(tiny_report):
         assert row.ratio <= 1 + 1e-6
         assert row.clean_nuclear > 0
     assert set(report.spectra) == {"full", "1-3s", "3-5s"}
-    emitted = {p.name for p in out.iterdir()}
-    assert {"scenarios.csv", "aggregates.csv", "spectrum.csv", "trace.csv",
-            "meta.json", "spectrum.gp", "aggregates.gp", "trace.gp",
-            "timings.csv"} <= emitted
+    # save_report returns every file it wrote, and writes no other
+    assert sorted(written) == sorted(out.iterdir())
+    assert {p.name for p in written} == {
+        "scenarios.csv", "aggregates.csv", "spectrum.csv", "trace.csv", "meta.json",
+        "spectrum.gp", "aggregates.gp", "trace.gp", "timings.csv"}
+    # the sidecar holds one wall time per row, in row order
+    assert len(report.seconds) == len(report.rows)
+    timings = (out / "timings.csv").read_text().splitlines()
+    assert timings[0] == "scenario,seconds"
+    assert timings[1:] == [f"{row.scenario},{t:.6f}"
+                           for row, t in zip(report.rows, report.seconds)]
 
 
 def test_trace_series(tiny_report):
-    cfg, report, out = tiny_report
+    cfg, report, out, _ = tiny_report
     t, before, after = report.trace
     first, last = cfg.windows[0]
     assert len(t) == last - first + 1
@@ -244,7 +259,7 @@ DETERMINISTIC = ["scenarios.csv", "aggregates.csv", "spectrum.csv", "trace.csv",
 
 
 def test_report_round_trip_and_integrity(tiny_report, tmp_path):
-    cfg, report, out = tiny_report
+    cfg, report, out, _ = tiny_report
     loaded = load_report(out)
     assert loaded.rows == report.rows
     assert loaded.aggregates == report.aggregates
@@ -272,8 +287,7 @@ def test_reports_byte_identical_across_runs(tmp_path):
     for run in ("a", "b"):
         out = tmp_path / run
         cfg = small_cfg(out_dir=str(out), trace_channel="F:11", trace_buses=(8,))
-        report, timings = run_experiment(cfg)
-        save_report(report, cfg.out_dir, timings)
+        save_report(run_experiment(cfg), cfg.out_dir)
         outs.append(out)
     for name in DETERMINISTIC:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
@@ -289,7 +303,7 @@ def test_error_row_round_trips_byte_for_byte(tmp_path):
                     error='ADMM stopped: "primal" 1e-3, dual 2e-4'),
     )
     report = ExperimentReport(
-        rows=rows, aggregates=aggregate_rows(rows),
+        rows=rows,
         spectra={"full": np.array([3.0, 0.5, 1e-17])},
         trace=(np.array([1.0, 1.1]), np.array([0.2, 0.3]), np.array([0.25, 0.3])),
         meta={"n_scenarios": 2},
@@ -317,8 +331,8 @@ def test_records_round_trip_and_reject_foreign_columns(tmp_path):
 
 
 def test_worker_pool_matches_serial(tmp_path):
-    serial = run_experiment(small_cfg(out_dir=str(tmp_path / "s")))[0]
-    threaded = run_experiment(small_cfg(out_dir=str(tmp_path / "t"), workers=4))[0]
+    serial = run_experiment(small_cfg(out_dir=str(tmp_path / "s")))
+    threaded = run_experiment(small_cfg(out_dir=str(tmp_path / "t"), workers=4))
     assert serial.rows == threaded.rows
     assert serial.aggregates == threaded.aggregates
 
@@ -366,10 +380,11 @@ def test_exit_code_flags_in_set_detection():
     row = ScenarioRow(1, "w", 1, (8,), 10.0, 9.0, 0.9,
                       Outcome.DETECTED_WITHIN_SET.value,
                       5, 0.0, 0.0, 5, 0.0, 0.0, (8,))
-    report = ExperimentReport(rows=(row,), aggregates=aggregate_rows([row]),
-                              spectra={}, trace=None, meta={})
+    report = ExperimentReport(rows=(row,), spectra={}, trace=None, meta={})
     assert report.in_set_detections == (row,)
     assert report.exit_code == 2
+    with pytest.raises(ValueError, match="2 wall times for 1 rows"):
+        ExperimentReport(rows=(row,), spectra={}, trace=None, meta={}, seconds=(1.0, 2.0))
 
 
 def test_lambda_sweep_outcomes(tmp_path):
@@ -401,7 +416,7 @@ def test_lambda_sweep_outcomes(tmp_path):
 
 
 def test_meta_records_environment(tiny_report):
-    _, report, out = tiny_report
+    _, report, out, _ = tiny_report
     meta = json.loads((out / "meta.json").read_text())
     assert meta["versions"]["pmufdi"]
     assert meta["versions"]["numpy"]

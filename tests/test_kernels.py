@@ -88,6 +88,8 @@ def test_svt_prox_inequality():
 def test_svt_rejects_bad_input():
     with pytest.raises(ValueError):
         svt(np.eye(2), -1.0)
+    with pytest.raises(ValueError, match="tau"):
+        svt(np.eye(2), np.nan)
     with pytest.raises(ValueError):
         svt(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
     with pytest.raises(ValueError):
@@ -111,6 +113,10 @@ def test_shrink_columns_known_values():
     with_zero = c.copy()
     with_zero[:, 2] = 0.0
     assert np.all(shrink_columns(with_zero, 0.5)[:, 2] == 0.0)
+
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="kappa"):
+            shrink_columns(c, bad)
 
 
 def test_shrink_columns_prox_inequality():

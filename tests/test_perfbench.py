@@ -1,8 +1,9 @@
 """The benchmark in perfbench/ can still drive the package.
 
-perfbench traces pmufdi functions by name and calls them from its own
-scripts, so a renamed or removed name breaks it without breaking any
-other test. These checks only read perfbench/; they change nothing there.
+perfbench traces pmufdi functions by name, calls them from its own
+scripts and parses the report files by column name, so a renamed or
+removed name breaks it without breaking any other test. These checks
+only read perfbench/; they change nothing there.
 """
 
 import importlib
@@ -12,6 +13,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from pmufdi.experiment import load_config, run_experiment
+from pmufdi.report import save_report
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_DIR / "perfbench"
@@ -52,3 +56,24 @@ def test_naive_unit_runs(tmp_path):
     records = json.loads(out.read_text())
     assert len(records) == 1
     assert records[0]["error"] == ""
+
+
+def test_report_parser_reads_a_saved_report(tmp_path, monkeypatch):
+    # run.py imports its sibling tracer.py, and its dataclasses need their
+    # module registered while it runs
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCH_DIR / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "perfbench_run", bench)
+    spec.loader.exec_module(bench)
+
+    cfg = load_config(REPO_DIR / "configs" / "ieee24.yaml", limit=1,
+                      out_dir=str(tmp_path / "report"))
+    report = run_experiment(cfg)
+    save_report(report, cfg.out_dir)
+    unit = bench.Unit(traced=False, wall_s=0.0, cpu_s=0.0, rss_mb=0.0)
+    bench.check_report(unit, Path(cfg.out_dir), len(report.rows))
+    assert len(report.rows) == 2            # one set on each of two windows
+    assert unit.problems == []
+    assert unit.failed == 0
+    assert len(unit.latencies_s) == len(report.rows)
