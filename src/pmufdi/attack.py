@@ -1,19 +1,28 @@
 """Design of temporally correlated measurement attacks.
 
-Given a measurement block Z and an attacked-state set I, the designer
-minimizes the nuclear norm of the post-attack block
+Given a measurement block Z and an attacked-state set I, the attack is
+defined, as in the paper, by the convex program
 
     minimize_C  || Z + C Hn^T ||_*   subject to  supp(C) in I
 
-where Hn is the row-normalized dependency matrix. The support constraint
-is made exact by optimizing only over W, the columns of C in I, so the
-problem reduces to an unconstrained minimize_W ||Z + W G||_* with G the
-corresponding rows of Hn^T. With M = Z + W G this is the shared ADMM
-driver's problem (see :mod:`pmufdi.kernels`) with f = 0 and A(W) = -W G,
-so the x-step is the least-squares fit  min_W || W G - (M - Z + U) ||_F.
-The solver reparametrizes W against an orthonormal basis Q of the row
-space of G (G = R^H Q, W_q = W R^H), which turns that fit into the
-projection  W_q = (M - Z + U) Q^H.
+where Hn is the row-normalized dependency matrix. Optimizing only over
+W, the columns of C in I, makes the support constraint exact: the
+program is minimize_W ||Z + W G||_* with G the rows of Hn^T that I
+selects, which must be linearly independent.
+
+The program has a unique solution in closed form, so no solver runs.
+Factor G = R^H Q, with Q orthonormal rows and R invertible, and let
+P = Q^H Q. Every W G is X Q with X = W R^H. Complete Q to a unitary
+U = [Q^H  Q_perp^H]; then (Z + X Q) U = [Z Q^H + X | Z Q_perp^H].
+Deleting columns never raises a singular value (interlacing for
+submatrices; Horn & Johnson, *Topics in Matrix Analysis*, Sec. 3.1), so
+
+    || Z + W G ||_*  >=  || Z Q_perp^H ||_*  =  || Z (I - P) ||_*.
+
+Equality needs X = -Z Q^H: any other X adds Frobenius mass, so some
+singular value grows strictly while none falls. The optimal post-attack
+block is therefore the projection M* = Z (I - P), reached by
+W = -Z Q^H R^(-H) alone.
 """
 
 from __future__ import annotations
@@ -25,13 +34,10 @@ import scipy.linalg
 
 from .blocks import MeasurementBlock
 from .kernels import (
-    _RHO,
     SolverDiagnostics,
     SolverError,
-    SolverOptions,
-    _admm,
     nuclear_norm,
-    svt,
+    svt,  # not called here; perfbench/tracer.py wraps pmufdi.attack.svt
 )
 from .measurements import DependencyMatrix
 
@@ -43,77 +49,50 @@ class AttackScenario:
     attacked_block: MeasurementBlock
     objective: float               # nuclear norm of the post-attack block
     baseline_objective: float      # nuclear norm of the clean block
-    diagnostics: SolverDiagnostics
+    # no solver runs; perfbench/tracer.py's attack.design span reads .iterations
+    diagnostics: SolverDiagnostics = SolverDiagnostics(0, 0.0, 0.0, 1.0)
 
 
 def design_attack(
     block: MeasurementBlock,
     dep: DependencyMatrix,
     attacked_buses,
-    options: SolverOptions | None = None,
+    options=None,  # unused; perfbench/micro.py passes it
 ) -> AttackScenario:
     """Solve the attack program for *attacked_buses* on *block*.
 
     An empty set returns the trivial scenario C = 0. Raises
-    :class:`SolverError` when the ADMM iteration exhausts its budget.
+    :class:`SolverError` when the attacked rows are linearly dependent.
     """
-    opts = options or SolverOptions()
     block.check_dependency(dep)
     z = block.z
     attacked = tuple(sorted(set(int(b) for b in attacked_buses)))
     baseline = nuclear_norm(z)
 
-    if not attacked:
-        c = np.zeros((block.n_steps, dep.n_states), dtype=complex)
-        diag = SolverDiagnostics(0, 0.0, 0.0, _RHO)
-        return AttackScenario(
-            attacked_buses=(), c=c,
-            attacked_block=apply_attack(block, c, dep),
-            objective=baseline, baseline_objective=baseline, diagnostics=diag,
-        )
-
-    cols = [dep.column_index(b) for b in attacked]
-    g = dep.h_normalized[:, cols].T.copy()     # (|I|, n_z)
-    w, diag = _minimize_postattack_norm(z, g, opts)
-
     c = np.zeros((block.n_steps, dep.n_states), dtype=complex)
-    c[:, cols] = w
+    if attacked:
+        cols = [dep.column_index(b) for b in attacked]
+        c[:, cols] = _minimize_postattack_norm(z, dep.h_normalized[:, cols].T)
     c.setflags(write=False)
     attacked_block = apply_attack(block, c, dep)
     return AttackScenario(
         attacked_buses=attacked,
         c=c,
         attacked_block=attacked_block,
-        objective=nuclear_norm(attacked_block.z),
+        objective=nuclear_norm(attacked_block.z) if attacked else baseline,
         baseline_objective=baseline,
-        diagnostics=diag,
     )
 
 
-def _minimize_postattack_norm(
-    z: np.ndarray, g: np.ndarray, opts: SolverOptions
-) -> tuple[np.ndarray, SolverDiagnostics]:
-    # the image {W G} is the row space of G, so W may be reparametrized
-    # against an orthonormal basis Q of that space (G = R^H Q); the
-    # constraint then involves an isometry, which makes the iteration
-    # immune to badly scaled dictionary rows
-    q_cols, r_tri = np.linalg.qr(g.conj().T)
+def _minimize_postattack_norm(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The W minimizing ||Z + W G||_*, -Z Q^H R^(-H); see the module docstring."""
+    q_cols, r_tri = np.linalg.qr(g.conj().T)     # G^H = Q^H R
     diag = np.abs(np.diag(r_tri))
     if diag.min() <= 1e-12 * diag.max():
         raise SolverError("attack dictionary rows are linearly dependent", np.inf, np.inf, 0)
-    q = q_cols.conj().T                     # (k, n_z), orthonormal rows
-
-    def step(wq, target, rho):
-        # A(W_q) = -W_q Q and Q Q^H = I, so the fit of W_q Q to
-        # -target = M - Z + U is its projection onto the rows of Q
-        wq = -target @ q_cols
-        return wq, -(wq @ q)
-
-    wq0 = np.zeros((z.shape[0], g.shape[0]), dtype=complex)
-    _, wq, scale, diag = _admm(z, svt, step, wq0, opts, "attack design")
+    wq = -(z @ q_cols)
     # undo the reparameterization: W R^H = W_q
-    w = scipy.linalg.solve_triangular(r_tri, wq.conj().T, lower=False).conj().T
-    return w * scale, diag
+    return scipy.linalg.solve_triangular(r_tri, wq.conj().T, lower=False).conj().T
 
 
 def naive_ramp_attack(
@@ -173,7 +152,7 @@ def induced_measurement_support(
     With eps = 0 this is the structural support, which always lies inside
     the measurement set of supp(C).
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be >= 0")
     d = np.asarray(c) @ dep.h_normalized.T
     norms = np.linalg.norm(d, axis=0)

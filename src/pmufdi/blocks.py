@@ -11,7 +11,8 @@ count that differs from its channel count when it is made.
 Blocks are stored in one lossless format, a documented CSV layout
 ("# key: value" metadata lines, a label header, complex entries as
 "<re><+/-><im>j" with 17 significant digits and the sign bit of every
-part kept). The reader names the file and the bad sample, channel or
+part kept, and a t column of sample indices counting up by one from
+start_index). The reader names the file and the bad sample, channel or
 metadata key of a malformed input, and the file of one that is not a
 block CSV at all.
 """
@@ -91,7 +92,8 @@ class MeasurementBlock:
         return self.z[:, self.labels.index(label)]
 
     def check_dependency(self, dep: DependencyMatrix) -> None:
-        """Raise ValueError unless the block was measured through *dep*."""
+        """Raise ValueError unless the block was measured through *dep*:
+        its channel count, digest and labels must all match."""
         if self.n_channels != dep.n_measurements:
             raise ValueError(
                 f"block has {self.n_channels} channels but the dependency "
@@ -102,6 +104,10 @@ class MeasurementBlock:
                 f"block dependency digest {self.dependency_digest!r} does not "
                 f"match the dependency matrix digest {dep.digest!r}"
             )
+        for k, (mine, theirs) in enumerate(zip(self.labels, dep.row_labels)):
+            if mine != theirs:
+                raise ValueError(f"block channel {k + 1} is {mine!r} but the "
+                                 f"dependency matrix row is {theirs!r}")
 
 
 def generate_block(
@@ -199,8 +205,10 @@ def write_block_csv(block: MeasurementBlock, path: str | Path) -> None:
 
 
 def read_block_csv(path: str | Path) -> MeasurementBlock:
-    """Read the layout of :func:`write_block_csv`. A malformed file raises
-    ValueError naming the file and the bad sample, channel or metadata key.
+    """Read the layout of :func:`write_block_csv`. A malformed file, one
+    whose t column does not count up by one from start_index among them,
+    raises ValueError naming the file and the bad sample, channel or
+    metadata key.
     """
     try:
         with open(path, newline="") as fh:
@@ -208,6 +216,7 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValueError(f"{path}: not a block CSV ({exc})") from None
     meta = {}
+    samples = []
     rows = []
     labels: tuple[str, ...] = ()
     for row in table:
@@ -230,6 +239,7 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
             except ValueError:
                 raise ValueError(f"{path}: sample {row[0]}, channel {label!r}: "
                                  f"bad entry {cell!r}") from None
+        samples.append(row[0])
         rows.append(entries)
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
@@ -243,10 +253,15 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
         except ValueError:
             raise ValueError(f"{path}: bad '# {key}:' value {text!r}") from None
 
+    start = number("start_index", int)
+    for k, sample in enumerate(samples):
+        if sample != str(start + k):
+            raise ValueError(f"{path}: sample {sample} out of order, "
+                             f"expected sample {start + k}")
     return MeasurementBlock(
         z=np.array(rows, dtype=complex),
         rate_hz=number("rate_hz", float),
-        start_index=number("start_index", int),
+        start_index=start,
         labels=labels,
         dependency_digest=meta.get("dependency", ""),
         attacked=bool(number("attacked", int, "0")),

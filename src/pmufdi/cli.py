@@ -90,19 +90,15 @@ def attack(config_path, seed, out_dir, buses, window_index):
         raise click.BadParameter(f"window must be in 1..{len(cfg.windows)}")
     _, block, dep = cfg.build_block()
     first, last = cfg.windows[window_index - 1]
-    scen = design_attack(block.window(first, last), dep, buses,
-                         options=cfg.solver)
+    scen = design_attack(block.window(first, last), dep, buses)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_block_csv(scen.attacked_block, out / "attacked_block.csv")
-    diag = scen.diagnostics
     write_table(out / "attack.csv",
-                ["set_size", "buses", "clean_nuclear", "attacked_nuclear", "ratio",
-                 "iterations", "primal_residual", "dual_residual"],
+                ["set_size", "buses", "clean_nuclear", "attacked_nuclear", "ratio"],
                 [(len(scen.attacked_buses), scen.attacked_buses,
                   scen.baseline_objective, scen.objective,
-                  scen.objective / scen.baseline_objective,
-                  diag.iterations, diag.primal_residual, diag.dual_residual)])
+                  scen.objective / scen.baseline_objective)])
     click.echo(f"objective {scen.objective:.6g} (clean {scen.baseline_objective:.6g})")
     click.echo(str(out / "attacked_block.csv"))
 

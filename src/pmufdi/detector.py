@@ -6,14 +6,23 @@ column-sparse attack term routed through the normalized dependency matrix:
     minimize  || M ||_*  +  weight * || C ||_{1,2}
     subject to  M + C Hn^T = Zbar
 
-solved by the shared ADMM driver (see :mod:`pmufdi.kernels`) with
-f = weight * ||C||_{1,2} and A(C) = C Hn^T. The exact C-step would be a
-group-lasso problem with a general dictionary, which has no closed form.
-The C-step is instead linearized, as in LADMAP (Lin, Liu & Su, "Linearized
-alternating direction method with adaptive penalty for low-rank
-representation", NeurIPS 2011): one proximal-gradient step on the
-augmented term from the previous C with step 1/(rho * smax(Hn)^2), which
-is a single column shrink per ADMM iteration.
+This is the package's one iterative solver, a scaled ADMM with G = Hn^T:
+
+    M-step:  M = svt(Zbar - C G - U, 1/rho)
+    C-step:  C = shrink_columns(C - (C G - (Zbar - M - U)) G^H / smax(G)^2,
+                                weight / (rho smax(G)^2))
+    dual:    U += M + C G - Zbar
+
+The exact C-step would be a group-lasso problem with a general
+dictionary, which has no closed form. It is instead linearized, as in
+LADMAP (Lin, Liu & Su, "Linearized alternating direction method with
+adaptive penalty for low-rank representation", NeurIPS 2011): one
+proximal-gradient step on the augmented term from the previous C, which
+is a single column shrink per iteration. The solver works on data scaled
+to unit Frobenius norm, stops when both the primal residual
+||M + C G - Zbar|| and the dual residual rho ||C G - C_prev G|| fall
+below tol_rel * ||Zbar||_F, and rebalances the penalty by doubling or
+halving it when one residual exceeds the other tenfold.
 
 Support identification thresholds the stored column norms at a relative
 fraction of the largest norm, with an absolute floor so that an
@@ -32,7 +41,6 @@ from .kernels import (
     SolverDiagnostics,
     SolverError,
     SolverOptions,
-    _admm,
     l12_norm,
     nuclear_norm,
     shrink_columns,
@@ -41,6 +49,15 @@ from .kernels import (
 from .measurements import DependencyMatrix
 
 _CERTIFICATE_TOL = 1e-6
+_RESIDUAL_GAP = 10.0
+# starting penalty; the data are normalized to unit Frobenius norm, so it
+# refers to the normalized problem
+_RHO = 1.0
+# range the adapted penalty stays in: an uncontrolled downward run feeds
+# back through the scaled dual variable and blows the iterates up, while
+# too low a ceiling leaves residuals parked just above tolerance
+_RHO_MIN = _RHO / 1024.0
+_RHO_MAX = _RHO * 2.0 ** 20
 
 
 class Outcome(str, Enum):
@@ -136,19 +153,56 @@ def detect(
 def _decompose(
     zbar: np.ndarray, g: np.ndarray, weight: float, opts: SolverOptions
 ) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
+    """Solve the program by the ADMM of the module docstring.
+
+    Returns (M, C, diagnostics); the residuals in the diagnostics, and in
+    a raised :class:`SolverError`, are in data units. Zero data returns
+    zeros without iterating.
+    """
+    c = np.zeros((zbar.shape[0], g.shape[0]), dtype=complex)
+    scale = float(np.linalg.norm(zbar))
+    if scale == 0.0:
+        return np.zeros_like(zbar), c, SolverDiagnostics(0, 0.0, 0.0, _RHO)
+    # every objective term is positively homogeneous, so solve on
+    # unit-Frobenius data; this keeps the penalty scale data-independent
+    b = zbar / scale
     gh = g.conj().T
     smax2 = float(np.linalg.svd(g, compute_uv=False)[0] ** 2)
+    rho = _RHO
+    # never let the threshold 1/rho reach sigma_1, or the svt step would
+    # annihilate the low-rank iterate and the iteration stalls
+    lo = max(_RHO_MIN, 1.5 / float(np.linalg.svd(b, compute_uv=False)[0]))
 
-    def step(c, target, rho):
+    cg = np.zeros_like(b)                    # C G
+    u = np.zeros_like(b)
+    primal = dual = np.inf
+
+    for it in range(1, opts.max_iter + 1):
+        m = svt(b - cg - u, 1.0 / rho)
         # linearized C-step: minimize weight ||C||_{1,2} plus the
-        # quadratic majorizer of rho/2 ||C g - target||_F^2 at the
+        # quadratic majorizer of rho/2 ||C G - target||_F^2 at the
         # previous C, whose curvature rho * smax2 bounds the Hessian
-        c = shrink_columns(c - ((c @ g - target) @ gh) / smax2, weight / (rho * smax2))
-        return c, c @ g
+        target = b - m - u
+        c = shrink_columns(c - ((cg - target) @ gh) / smax2, weight / (rho * smax2))
+        cg_new = c @ g
+        r = (m - b) + cg_new
+        u = u + r
+        primal = float(np.linalg.norm(r))
+        dual = float(rho * np.linalg.norm(cg_new - cg))
+        cg = cg_new
+        if not np.isfinite(primal) or not np.isfinite(dual):
+            raise SolverError("detection diverged", primal * scale, dual * scale, it)
+        if primal < opts.tol_rel and dual < opts.tol_rel:
+            diag = SolverDiagnostics(it, primal * scale, dual * scale, rho)
+            return m * scale, c * scale, diag
+        if primal > _RESIDUAL_GAP * dual and rho * 2.0 <= _RHO_MAX:
+            rho *= 2.0
+            u /= 2.0
+        elif dual > _RESIDUAL_GAP * primal and rho / 2.0 >= lo:
+            rho /= 2.0
+            u *= 2.0
 
-    c0 = np.zeros((zbar.shape[0], g.shape[0]), dtype=complex)
-    m, c, scale, diag = _admm(zbar, svt, step, c0, opts, "detection")
-    return m * scale, c * scale, diag
+    raise SolverError("detection did not converge", primal * scale, dual * scale, opts.max_iter)
 
 
 def identify_support(

@@ -224,7 +224,7 @@ def _run_scenario(
 ) -> tuple[ScenarioRow, float]:
     started = time.perf_counter()
     try:
-        scen = design_attack(window_block, dep, buses, options=cfg.solver)
+        scen = design_attack(window_block, dep, buses)
         res = detect(scen.attacked_block, dep, weight=cfg.weight,
                      options=cfg.solver, thresholds=cfg.thresholds)
         outcome = classify_outcome(res, buses)
@@ -237,9 +237,6 @@ def _run_scenario(
             attacked_nuclear=scen.objective,
             ratio=scen.objective / clean_nuclear,
             outcome=outcome.value,
-            attack_iterations=scen.diagnostics.iterations,
-            attack_primal=scen.diagnostics.primal_residual,
-            attack_dual=scen.diagnostics.dual_residual,
             detect_iterations=res.diagnostics.iterations,
             detect_feasibility=res.feasibility_residual,
             max_state_column_norm=float(res.state_column_norms.max(initial=0.0)),
@@ -331,7 +328,7 @@ def _trace_series(cfg, block, dep):
         return None
     first, last = cfg.windows[0]
     window_block = block.window(first, last)
-    scen = design_attack(window_block, dep, cfg.trace_buses, options=cfg.solver)
+    scen = design_attack(window_block, dep, cfg.trace_buses)
     before = np.abs(window_block.column(cfg.trace_channel))
     after = np.abs(scen.attacked_block.column(cfg.trace_channel))
     t = np.arange(first, last + 1) / cfg.rate_hz
@@ -384,7 +381,7 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
             raise ConfigError("no admissible attacked set for the sweep")
         buses = sets[0].attacked_buses
 
-    designed = design_attack(window_block, dep, buses, options=cfg.solver)
+    designed = design_attack(window_block, dep, buses)
     _, naive_block = naive_ramp_attack(
         window_block, dep, buses, scale=cfg.naive_scale, seed=cfg.seed
     )

@@ -48,9 +48,6 @@ class ScenarioRow:
     attacked_nuclear: float = math.nan
     ratio: float = math.nan
     outcome: str = "error"
-    attack_iterations: int = 0
-    attack_primal: float = math.nan
-    attack_dual: float = math.nan
     detect_iterations: int = 0
     detect_feasibility: float = math.nan
     max_state_column_norm: float = math.nan

@@ -191,7 +191,7 @@ def test_criterion_7_numerical_kernels(ieee24_blocks, ieee118_blocks):
     z = base @ profile + 0.05 * (rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8)))
     g = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    w, _ = _minimize_postattack_norm(z, g, SolverOptions())
+    w = _minimize_postattack_norm(z, g)
     attack_obj = nuclear_norm(z + w @ g)
     attack_ref = powell_attack_reference(
         z, g, [np.zeros_like(w), w,

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmufdi.attack import (
     SolverError,
@@ -11,7 +13,7 @@ from pmufdi.attack import (
     naive_ramp_attack,
     _minimize_postattack_norm,
 )
-from pmufdi.attack_sets import validate_attack_set
+from pmufdi.attack_sets import enumerate_attack_sets, validate_attack_set
 from pmufdi.detector import detect
 from pmufdi.kernels import SolverOptions, nuclear_norm
 
@@ -60,13 +62,42 @@ def test_small_instances_match_powell_reference():
     rng = np.random.default_rng(100)
     for k in (1, 2):
         z, g = random_instance(rng, k=k)
-        w, diag = _minimize_postattack_norm(z, g, SolverOptions())
+        w = _minimize_postattack_norm(z, g)
         admm_obj = nuclear_norm(z + w @ g)
         starts = [np.zeros_like(w), w,
                   w + 0.1 * (rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape))]
         reference = powell_attack_reference(z, g, starts)
         assert admm_obj <= reference + 1e-4 * max(1.0, reference)
         assert reference <= admm_obj + 1e-4 * max(1.0, admm_obj)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10),
+       n_z=st.integers(2, 12), k=st.integers(1, 11))
+def test_no_attack_beats_the_closed_form(seed, n, n_z, k):
+    rng = np.random.default_rng(seed)
+    z, g = random_instance(rng, n=n, n_z=n_z, k=min(k, n_z - 1))
+    # badly scaled dictionary rows must not matter
+    g *= 10.0 ** rng.uniform(-3, 3, size=(g.shape[0], 1))
+    w = _minimize_postattack_norm(z, g)
+    best = nuclear_norm(z + w @ g)
+    for step in (1e-3, 1e-1, 1.0, 10.0):
+        other = w + step * (rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape))
+        assert nuclear_norm(z + other @ g) >= best * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("system", ["ieee24", "ieee118"])
+def test_attacked_block_is_orthogonal_to_the_attacked_rows(system, request):
+    case = request.getfixturevalue(f"{system}_case")
+    _, block, dep = request.getfixturevalue(f"{system}_blocks")
+    sets = enumerate_attack_sets(case, dep, 2)
+    for first, last in ((31, 90), (91, 150)):
+        window = block.window(first, last)
+        for check in sets[::max(1, len(sets) // 4)]:
+            scen = design_attack(window, dep, check.attacked_buses)
+            cols = [dep.column_index(b) for b in check.attacked_buses]
+            q_cols, _ = np.linalg.qr(dep.h_normalized[:, cols].conj())   # G^H
+            leak = np.linalg.norm(scen.attacked_block.z @ q_cols)
+            assert leak <= 1e-12 * np.linalg.norm(window.z)
 
 
 def test_apply_attack_zero_matrix_is_identity(ieee24_blocks):
@@ -114,8 +145,9 @@ def test_induced_support_structural_at_zero_eps(ieee24_case, ieee24_dep):
     c = np.zeros((12, ieee24_dep.n_states), dtype=complex)
     c[:, ieee24_dep.column_index(8)] = 1.0
     assert induced_measurement_support(c, ieee24_dep, eps=0.0) == check.measurement_rows
-    with pytest.raises(ValueError):
-        induced_measurement_support(c, ieee24_dep, eps=-0.5)
+    for eps in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            induced_measurement_support(c, ieee24_dep, eps=eps)
 
 
 def _design(block, dep, options=None):
@@ -130,7 +162,7 @@ both_solvers = pytest.mark.parametrize(
     "solve", [_design, _detect], ids=["design_attack", "detect"])
 
 
-@both_solvers
+@pytest.mark.parametrize("solve", [_detect], ids=["detect"])
 def test_nonconvergence_raises_with_residuals(ieee24_blocks, solve):
     _, block, dep = ieee24_blocks
     # an attacked window, on which the detector's attack term has moved

@@ -146,6 +146,25 @@ def _set_meta(key, value):
     return lambda line: f"# {key}: {value}" if line.startswith(f"# {key}:") else line
 
 
+def _duplicate_row(line):
+    return f"{line}\n{line}" if line.startswith("40,") else line
+
+
+def _delete_row(line):
+    return None if line.startswith("40,") else line
+
+
+def _swap_rows():
+    held = []
+
+    def edit(line):
+        if line.startswith("40,"):
+            held.append(line)
+            return None
+        return f"{line}\n{held.pop()}" if line.startswith("41,") else line
+    return edit
+
+
 @pytest.mark.parametrize("edit, cause", [
     (_cut_last_cell, "sample 40 has 40 entries, expected 41"),
     (_garble_second_cell, "sample 40, channel 'V:2'"),
@@ -153,7 +172,11 @@ def _set_meta(key, value):
     (_set_meta("rate_hz", "abc"), "bad '# rate_hz:' value 'abc'"),
     (_set_meta("start_index", "3.5"), "bad '# start_index:' value '3.5'"),
     (_set_meta("attacked", "yes"), "bad '# attacked:' value 'yes'"),
-], ids=["short-row", "bad-cell", "no-rate", "bad-rate", "bad-start", "bad-attacked"])
+    (_duplicate_row, "sample 40 out of order, expected sample 41"),
+    (_delete_row, "sample 41 out of order, expected sample 40"),
+    (_swap_rows(), "sample 41 out of order, expected sample 40"),
+], ids=["short-row", "bad-cell", "no-rate", "bad-rate", "bad-start", "bad-attacked",
+        "duplicated-row", "deleted-row", "swapped-rows"])
 def test_malformed_csv_names_the_cause(tmp_path, ieee24_blocks, edit, cause):
     _, block, _ = ieee24_blocks
     path = tmp_path / "window.csv"

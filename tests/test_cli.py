@@ -54,8 +54,7 @@ def test_attack_and_detect(runner, config_path, tmp_path):
     assert result.output.splitlines()[-1] == str(attacked)
     assert read_block_csv(attacked).attacked
     assert (tmp_path / "out" / "attack.csv").read_text().splitlines()[0] == (
-        "set_size,buses,clean_nuclear,attacked_nuclear,ratio,iterations,"
-        "primal_residual,dual_residual")
+        "set_size,buses,clean_nuclear,attacked_nuclear,ratio")
 
     result = runner.invoke(main, [
         "detect", "--config", str(config_path),

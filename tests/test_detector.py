@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmufdi.attack import design_attack, naive_ramp_attack, SolverDiagnostics
+from pmufdi.blocks import read_block_csv, write_block_csv
 from pmufdi.detector import (
     DetectionResult,
     Outcome,
@@ -186,6 +187,16 @@ def test_channel_count_mismatch_rejected(ieee24_blocks, ieee118_dep):
     _, block, _ = ieee24_blocks
     with pytest.raises(ValueError, match="channels"):
         detect(block.window(31, 90), ieee118_dep)
+
+
+def test_swapped_channel_labels_rejected(tmp_path, ieee24_blocks):
+    _, block, dep = ieee24_blocks
+    path = tmp_path / "window.csv"
+    write_block_csv(block.window(31, 90), path)
+    text = path.read_text()
+    path.write_text(text.replace("t,V:1,V:2,", "t,V:2,V:1,", 1))
+    with pytest.raises(ValueError, match="channel 1 is 'V:2' but the dependency matrix row is 'V:1'"):
+        detect(read_block_csv(path), dep)
 
 
 def test_dependency_digest_mismatch_rejected(ieee24_blocks):

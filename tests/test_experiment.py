@@ -297,9 +297,9 @@ def test_error_row_round_trips_byte_for_byte(tmp_path):
     nan = float("nan")
     rows = (
         ScenarioRow(1, "1-3s", 1, (8,), 10.0, 9.5, 0.95, "bypassed",
-                    23, 1e-6, 2e-9, 48, 5e-6, 0.0, ()),
+                    48, 5e-6, 0.0, ()),
         ScenarioRow(2, "1-3s", 2, (8, 9), 10.0, nan, nan, "error",
-                    0, nan, nan, 0, nan, nan, (),
+                    0, nan, nan, (),
                     error='ADMM stopped: "primal" 1e-3, dual 2e-4'),
     )
     report = ExperimentReport(
@@ -313,7 +313,7 @@ def test_error_row_round_trips_byte_for_byte(tmp_path):
     error_row = loaded.rows[1]
     assert error_row.error == rows[1].error
     assert error_row.flagged_buses == ()
-    assert math.isnan(error_row.ratio) and math.isnan(error_row.attack_primal)
+    assert math.isnan(error_row.ratio)
     save_report(loaded, tmp_path / "b")
     for name in DETERMINISTIC:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -365,11 +365,11 @@ def test_report_bytes_independent_of_threads(tmp_path):
 def test_aggregates_recomputable():
     rows = [
         ScenarioRow(1, "w", 1, (8,), 10.0, 9.0, 0.9, "bypassed",
-                    5, 0.0, 0.0, 5, 0.0, 0.0, ()),
+                    5, 0.0, 0.0, ()),
         ScenarioRow(2, "w", 1, (9,), 10.0, 8.0, 0.8, "bypassed",
-                    5, 0.0, 0.0, 5, 0.0, 0.0, ()),
+                    5, 0.0, 0.0, ()),
         ScenarioRow(3, "w", 2, (8, 9), 10.0, 7.0, 0.7, "error",
-                    0, 0.0, 0.0, 0, 0.0, 0.0, (), error="boom"),
+                    0, 0.0, 0.0, (), error="boom"),
     ]
     aggs = aggregate_rows(rows)
     expected = AggregateRow("w", 1, 2, 8.0, 8.5, 9.0, 0.8, np.mean([0.8, 0.9]), 0.9)
@@ -379,7 +379,7 @@ def test_aggregates_recomputable():
 def test_exit_code_flags_in_set_detection():
     row = ScenarioRow(1, "w", 1, (8,), 10.0, 9.0, 0.9,
                       Outcome.DETECTED_WITHIN_SET.value,
-                      5, 0.0, 0.0, 5, 0.0, 0.0, (8,))
+                      5, 0.0, 0.0, (8,))
     report = ExperimentReport(rows=(row,), spectra={}, trace=None, meta={})
     assert report.in_set_detections == (row,)
     assert report.exit_code == 2
