@@ -24,6 +24,25 @@ to unit Frobenius norm, stops when both the primal residual
 below tol_rel * ||Zbar||_F, and rebalances the penalty by doubling or
 halving it when one residual exceeds the other tenfold.
 
+The three steps map the state x = (C, U) to T(x). Where the attack term
+does not vanish, plain iteration of T parks its primal residual just
+above tolerance for thousands of steps, so from iteration 30 on the
+solver extrapolates by type-II Anderson acceleration with memory 5 (Fu,
+Zhang & Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM
+J. Sci. Comput. 2020, arXiv:1908.11482): the next point mixes the last
+images T(x) with real weights that minimize the norm of the mixed
+fixed-point residual T(x) - x, and a step longer than 30 plain steps
+||T(x) - x|| is cut back to that length. The history restarts whenever
+the penalty changes, since that changes T. The safeguard (Zhang,
+O'Donoghue & Boyd, "Globally convergent type-I Anderson acceleration for
+nonsmooth fixed-point iterations", SIAM J. Optim. 2020,
+arXiv:1808.03971) keeps an extrapolated point only if its residual
+||T(x) - x|| is below that of the point it came from; otherwise the
+solver goes on from the plain image of that point, which it already
+has. Every evaluation of T counts as one iteration, rejected ones
+included. A call that converges within 29 iterations runs plain ADMM,
+as every call on the shipped configs whose attack term vanishes does.
+
 Support identification thresholds the stored column norms at a relative
 fraction of the largest norm, with an absolute floor so that an
 all-but-zero attack term yields an empty support.
@@ -31,6 +50,7 @@ all-but-zero attack term yields an empty support.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -48,8 +68,20 @@ from .kernels import (
 )
 from .measurements import DependencyMatrix
 
+log = logging.getLogger(__name__)
+
 _CERTIFICATE_TOL = 1e-6
 _RESIDUAL_GAP = 10.0
+# Anderson acceleration: the first iteration that may evaluate an
+# extrapolated point (the calls whose attack term vanishes converge
+# within 29 plain steps), and the number of residual differences mixed
+_ANDERSON_START = 30
+_ANDERSON_MEMORY = 5
+# longest extrapolation step, in lengths ||T(x) - x|| of the plain one:
+# where the residual barely changes between iterates, the weights follow
+# a near-flat secant hundreds of lengths out, and the safeguard rejected
+# nearly every such step; cut back to this length, most are kept
+_ANDERSON_REACH = 30.0
 # starting penalty; the data are normalized to unit Frobenius norm, so it
 # refers to the normalized problem
 _RHO = 1.0
@@ -121,6 +153,9 @@ def detect(
 
     g = dep.h_normalized.T                   # (n_bus, n_z)
     m, c, diag = _decompose(zbar, g, weight, opts)
+    if diag.iterations > opts.max_iter / 2:
+        log.warning("detection converged after %d of its %d-iteration budget",
+                    diag.iterations, opts.max_iter)
 
     residual = float(np.linalg.norm(zbar - m - c @ g))
     objective = nuclear_norm(m) + weight * l12_norm(c)
@@ -176,6 +211,10 @@ def _decompose(
     cg = np.zeros_like(b)                    # C G
     u = np.zeros_like(b)
     primal = dual = np.inf
+    mix = _Anderson()
+    # (image, fixed-point residual) of the point an extrapolated one came from
+    base = None
+    extrapolated = rejected = 0
 
     for it in range(1, opts.max_iter + 1):
         m = svt(b - cg - u, 1.0 / rho)
@@ -183,26 +222,101 @@ def _decompose(
         # quadratic majorizer of rho/2 ||C G - target||_F^2 at the
         # previous C, whose curvature rho * smax2 bounds the Hessian
         target = b - m - u
-        c = shrink_columns(c - ((cg - target) @ gh) / smax2, weight / (rho * smax2))
-        cg_new = c @ g
+        c_new = shrink_columns(c - ((cg - target) @ gh) / smax2, weight / (rho * smax2))
+        cg_new = c_new @ g
         r = (m - b) + cg_new
-        u = u + r
+        u_new = u + r
         primal = float(np.linalg.norm(r))
         dual = float(rho * np.linalg.norm(cg_new - cg))
-        cg = cg_new
+        # the history starts two points early, since two give the first
+        # difference to mix
+        if it >= _ANDERSON_START - 2:
+            f = np.concatenate(((c_new - c).ravel(), r.ravel()))
+            residual = float(np.linalg.norm(f))
+        if base is not None:
+            image, base_residual = base
+            base = None
+            # the safeguard, which also turns away a non-finite step
+            if not residual < base_residual:
+                rejected += 1
+                c, cg, u = image
+                continue
+            extrapolated += 1
         if not np.isfinite(primal) or not np.isfinite(dual):
             raise SolverError("detection diverged", primal * scale, dual * scale, it)
         if primal < opts.tol_rel and dual < opts.tol_rel:
-            diag = SolverDiagnostics(it, primal * scale, dual * scale, rho)
-            return m * scale, c * scale, diag
+            diag = SolverDiagnostics(it, primal * scale, dual * scale, rho,
+                                     extrapolated, rejected)
+            return m * scale, c_new * scale, diag
+        c, cg, u = c_new, cg_new, u_new
         if primal > _RESIDUAL_GAP * dual and rho * 2.0 <= _RHO_MAX:
             rho *= 2.0
             u /= 2.0
+            mix.reset()
         elif dual > _RESIDUAL_GAP * primal and rho / 2.0 >= lo:
             rho /= 2.0
             u *= 2.0
+            mix.reset()
+        elif it >= _ANDERSON_START - 2:
+            point = mix.push(f, np.concatenate((c.ravel(), u.ravel())))
+            if point is not None:
+                base = ((c, cg, u), residual)
+                c = point[:c.size].reshape(c.shape)
+                u = point[c.size:].reshape(u.shape)
+                cg = c @ g
 
     raise SolverError("detection did not converge", primal * scale, dual * scale, opts.max_iter)
+
+
+class _Anderson:
+    """Type-II Anderson mixing over the last few ADMM iterates.
+
+    Each pushed point x enters as its image y = T(x) and its fixed-point
+    residual f = y - x. The mixing weights gamma minimize
+    ||f - dF gamma|| over the stored residual differences dF. They are
+    real, because the prox steps in T are not complex-linear, so the
+    vectors are held as real ones of twice the length, and gamma solves
+    the normal equations, whose Gram matrix dF^T dF gains one row and
+    column per push. The extrapolated point is y - dY gamma, with the
+    step -dY gamma cut back to at most _ANDERSON_REACH times ||f||.
+    """
+
+    def __init__(self):
+        # the difference rows are made at the first difference, so a call
+        # that converges before acceleration starts allocates none
+        self.df = self.dy = None
+        self.gram = np.zeros((_ANDERSON_MEMORY, _ANDERSON_MEMORY))
+        self.reset()
+
+    def reset(self) -> None:
+        self.count = 0                       # differences pushed
+        self.last = None                     # (f, y) of the last point
+
+    def push(self, f: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+        """Record a point, given as complex vectors; return the
+        extrapolated point, or None while there is no difference to mix."""
+        f, y = f.view(float), y.view(float)
+        if self.last is not None:
+            if self.df is None:
+                self.df = np.empty((_ANDERSON_MEMORY, f.size))
+                self.dy = np.empty_like(self.df)
+            slot = self.count % _ANDERSON_MEMORY
+            np.subtract(f, self.last[0], out=self.df[slot])
+            np.subtract(y, self.last[1], out=self.dy[slot])
+            self.count += 1
+            k = min(self.count, _ANDERSON_MEMORY)
+            self.gram[:k, slot] = self.gram[slot, :k] = self.df[:k] @ self.df[slot]
+        self.last = (f, y)
+        k = min(self.count, _ANDERSON_MEMORY)
+        if k == 0:
+            return None
+        gamma = np.linalg.lstsq(self.gram[:k, :k], self.df[:k] @ f, rcond=None)[0]
+        step = -(gamma @ self.dy[:k])
+        length = float(np.linalg.norm(step))
+        reach = _ANDERSON_REACH * float(np.linalg.norm(f))
+        if length > reach:
+            step *= reach / length
+        return (y + step).view(complex)
 
 
 def identify_support(

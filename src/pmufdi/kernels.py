@@ -99,10 +99,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """Exit state of the detector's ADMM: every evaluation of its
+    iteration map counts in *iterations*; *extrapolated* and *rejected*
+    count the Anderson-extrapolated points the safeguard kept and
+    turned away."""
     iterations: int
     primal_residual: float
     dual_residual: float
     rho: float
+    extrapolated: int = 0
+    rejected: int = 0
 
 
 def _require_finite(m: np.ndarray, name: str) -> np.ndarray:

@@ -15,7 +15,8 @@ import pytest
 
 import pmufdi
 from pmufdi.attack import naive_ramp_attack, _minimize_postattack_norm
-from pmufdi.detector import Outcome, _decompose
+from pmufdi import experiment
+from pmufdi.detector import Outcome, _decompose, detect
 from pmufdi.experiment import load_config, run_experiment
 from pmufdi.kernels import SolverOptions, l12_norm, nuclear_norm, shrink_columns, svt
 from pmufdi.report import save_report
@@ -37,10 +38,25 @@ def check(number: int, name: str, condition: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="session")
-def report24(tmp_path_factory):
+def diagnostics24():
+    """The detector diagnostics of every scenario of ``report24``, which
+    fills it: the report keeps only the iteration count."""
+    return []
+
+
+@pytest.fixture(scope="session")
+def report24(tmp_path_factory, diagnostics24):
     out = tmp_path_factory.mktemp("accept24")
     cfg = load_config(CONFIG_DIR / "ieee24.yaml", out_dir=str(out))
-    report = run_experiment(cfg)
+
+    def recording(*args, **kwargs):
+        result = detect(*args, **kwargs)
+        diagnostics24.append(result.diagnostics)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "detect", recording)
+        report = run_experiment(cfg)
     save_report(report, cfg.out_dir)
     return cfg, report, out
 
@@ -224,3 +240,18 @@ def test_criterion_8_reports_are_reproducible(report24, tmp_path_factory):
     check(8, "rerunning the full 24-bus experiment reproduces the report "
              "byte for byte",
           not diffs, f"differing files: {diffs}" if diffs else "all files identical")
+
+
+def test_detector_iterations_stay_guarded(report24):
+    # exact counts: the BLAS runs on one thread
+    _, report, _ = report24
+    vanishing = [r.detect_iterations for r in report.rows if r.max_state_column_norm == 0]
+    assert vanishing and max(vanishing) <= 29
+    assert sum(r.detect_iterations for r in report.rows) <= 8000
+
+
+def test_safeguard_keeps_and_rejects_extrapolations(report24, diagnostics24):
+    _, report, _ = report24
+    assert len(diagnostics24) == len(report.rows) == 114
+    assert sum(d.extrapolated for d in diagnostics24) >= 1
+    assert sum(d.rejected for d in diagnostics24) >= 1

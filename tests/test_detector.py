@@ -1,10 +1,14 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmufdi.attack import design_attack, naive_ramp_attack, SolverDiagnostics
-from pmufdi.blocks import read_block_csv, write_block_csv
+from pmufdi.attack_sets import enumerate_attack_sets
+from pmufdi.blocks import generate_block, read_block_csv, write_block_csv
 from pmufdi.detector import (
     DetectionResult,
     Outcome,
@@ -69,6 +73,73 @@ def test_one_column_shrink_per_iteration(ieee24_blocks, monkeypatch):
     _, attacked = naive_ramp_attack(block.window(31, 90), dep, (9,), scale=0.5, seed=21)
     result = detect(attacked, dep)
     assert len(calls) == result.diagnostics.iterations
+    assert result.state_support == (9,)
+
+
+def test_budget_warning(ieee24_blocks, caplog):
+    _, block, dep = ieee24_blocks
+    _, attacked = naive_ramp_attack(block.window(31, 90), dep, (9,), scale=0.5, seed=21)
+    with caplog.at_level(logging.WARNING, logger="pmufdi.detector"):
+        used = detect(attacked, dep).diagnostics.iterations
+    assert not caplog.records
+
+    with caplog.at_level(logging.WARNING, logger="pmufdi.detector"):
+        detect(attacked, dep, options=SolverOptions(max_iter=used + 1))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"detection converged after {used} of its {used + 1}-iteration budget"]
+
+
+@pytest.mark.parametrize("seed, buses", [
+    (6, (17, 18, 21, 22)),
+    (3, (17, 21, 22)),
+    (13, (1, 3, 24)),
+])
+def test_slowest_probed_calls_use_at_most_half_the_budget(seed, buses, ieee24_case, ieee24_plan):
+    # the slowest call probed at each block seed, all on the window that
+    # holds the disturbance onset
+    _, block, dep = generate_block(ieee24_case, ieee24_plan, 5.0, 30.0, seed=seed)
+    scen = design_attack(block.window(31, 90), dep, buses)
+    opts = SolverOptions()
+    result = detect(scen.attacked_block, dep, options=opts)
+    assert classify_outcome(result, buses) is Outcome.BYPASSED
+    assert result.diagnostics.iterations <= opts.max_iter // 2
+
+
+def _transformed(block, perm, theta):
+    """*block* with its rows permuted and every entry turned by e^{i theta}."""
+    return dataclasses.replace(block, z=block.z[perm] * np.exp(1j * theta))
+
+
+transforms = dict(perm_seed=st.integers(0, 2**32 - 1), theta=st.floats(-np.pi, np.pi))
+
+
+@given(index=st.integers(0, 2**16), **transforms)
+@settings(max_examples=15)
+def test_designed_outcome_invariant_under_row_permutation_and_phase(
+        ieee24_case, ieee24_blocks, index, perm_seed, theta):
+    # (M, C) solves the program for Zbar exactly when the same row
+    # permutation and phase of M and C solve it for the transformed
+    # block, with the same singular values and column norms
+    _, block, dep = ieee24_blocks
+    sets = enumerate_attack_sets(ieee24_case, dep, 5)
+    buses = sets[index % len(sets)].attacked_buses
+    attacked = design_attack(block.window(91, 150), dep, buses).attacked_block
+    perm = np.random.default_rng(perm_seed).permutation(attacked.n_steps)
+    before = detect(attacked, dep)
+    after = detect(_transformed(attacked, perm, theta), dep)
+    assert classify_outcome(after, buses) is classify_outcome(before, buses)
+    assert after.state_support == before.state_support
+
+
+@given(**transforms)
+@settings(max_examples=4)
+def test_naive_recovery_invariant_under_row_permutation_and_phase(
+        ieee24_blocks, perm_seed, theta):
+    _, block, dep = ieee24_blocks
+    _, attacked = naive_ramp_attack(block.window(31, 90), dep, (9,), scale=0.5, seed=21)
+    perm = np.random.default_rng(perm_seed).permutation(attacked.n_steps)
+    result = detect(_transformed(attacked, perm, theta), dep)
+    assert classify_outcome(result, (9,)) is Outcome.DETECTED_WITHIN_SET
     assert result.state_support == (9,)
 
 
