@@ -35,7 +35,6 @@ import scipy.linalg
 from .blocks import MeasurementBlock
 from .kernels import (
     SolverDiagnostics,
-    SolverError,
     nuclear_norm,
     svt,  # not called here; perfbench/tracer.py wraps pmufdi.attack.svt
 )
@@ -61,8 +60,9 @@ def design_attack(
 ) -> AttackScenario:
     """Solve the attack program for *attacked_buses* on *block*.
 
-    An empty set returns the trivial scenario C = 0. Raises
-    :class:`SolverError` when the attacked rows are linearly dependent.
+    An empty set returns the trivial scenario C = 0. Raises ValueError,
+    naming the attacked buses, when their rows of Hn^T are linearly
+    dependent, since the program then has no unique solution.
     """
     block.check_dependency(dep)
     z = block.z
@@ -72,7 +72,10 @@ def design_attack(
     c = np.zeros((block.n_steps, dep.n_states), dtype=complex)
     if attacked:
         cols = [dep.column_index(b) for b in attacked]
-        c[:, cols] = _minimize_postattack_norm(z, dep.h_normalized[:, cols].T)
+        try:
+            c[:, cols] = _minimize_postattack_norm(z, dep.h_normalized[:, cols].T)
+        except ValueError as exc:
+            raise ValueError(f"attacked buses {attacked}: {exc}") from None
     c.setflags(write=False)
     attacked_block = apply_attack(block, c, dep)
     return AttackScenario(
@@ -89,7 +92,7 @@ def _minimize_postattack_norm(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     q_cols, r_tri = np.linalg.qr(g.conj().T)     # G^H = Q^H R
     diag = np.abs(np.diag(r_tri))
     if diag.min() <= 1e-12 * diag.max():
-        raise SolverError("attack dictionary rows are linearly dependent", np.inf, np.inf, 0)
+        raise ValueError("their rows of the attack dictionary are linearly dependent")
     wq = -(z @ q_cols)
     # undo the reparameterization: W R^H = W_q
     return scipy.linalg.solve_triangular(r_tri, wq.conj().T, lower=False).conj().T

@@ -110,6 +110,11 @@ class MeasurementBlock:
                                  f"dependency matrix row is {theirs!r}")
 
 
+def disturbance_onset(rate_hz: float) -> int:
+    """The 1-based sample at which the disturbance starts: the first after one second."""
+    return int(round(rate_hz)) + 1
+
+
 def generate_block(
     case: GridCase,
     plan: PmuPlan,
@@ -134,7 +139,7 @@ def generate_block(
         raise ValueError(f"duration*rate must be a positive integer, got {steps}")
     dep = build_measurement_matrix(case, plan)
     adm = build_admittances(case)
-    traj = perturb_loads(case, n_steps, int(round(rate_hz)) + 1, seed, policy)
+    traj = perturb_loads(case, n_steps, disturbance_onset(rate_hz), seed, policy)
     x = np.empty((n_steps, case.n_bus), dtype=complex)
     iterations = []
     mismatches = []

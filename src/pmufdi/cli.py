@@ -19,7 +19,8 @@ from .blocks import read_block_csv, singular_spectrum, write_block_csv
 from .detector import classify_outcome, detect
 from .experiment import ExperimentConfig, lambda_sweep, load_config, run_experiment
 from .measurements import build_measurement_matrix
-from .report import SweepRow, save_report, write_records, write_spectrum, write_table
+from .report import (SpectrumRow, SweepRow, save_report, spectrum_rows, write_records,
+                     write_table)
 
 log = logging.getLogger("pmufdi")
 
@@ -72,7 +73,8 @@ def generate(config_path, seed, out_dir):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_block_csv(block, out / "block.csv")
-    write_spectrum(out / "spectrum.csv", {"full": singular_spectrum(block)})
+    write_records(out / "spectrum.csv", SpectrumRow,
+                  spectrum_rows("full", singular_spectrum(block)))
     click.echo(str(out / "block.csv"))
     click.echo(str(out / "spectrum.csv"))
 

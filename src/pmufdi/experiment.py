@@ -30,13 +30,14 @@ import yaml
 from . import __version__ as _version
 from .attack import design_attack, naive_ramp_attack
 from .attack_sets import enumerate_attack_sets
-from .blocks import MeasurementBlock, generate_block, singular_spectrum
+from .blocks import MeasurementBlock, disturbance_onset, generate_block, singular_spectrum
 from .cases import GridCase, load_case
-from .detector import Outcome, ThresholdPolicy, classify_outcome, detect
+from .detector import ThresholdPolicy, classify_outcome, detect
 from .kernels import BLAS_THREADS, SolverOptions, nuclear_norm
 from .loads import DisturbancePolicy
 from .measurements import DependencyMatrix, PmuPlan
-from .report import ExperimentReport, ScenarioRow, SweepRow
+from .report import (ExperimentReport, ScenarioRow, SweepRow, TraceRow, in_set_rows,
+                     outcome_counts, spectrum_rows)
 from .testsystems import default_plan, load_bundled_case, system_names
 
 log = logging.getLogger(__name__)
@@ -119,6 +120,10 @@ class ExperimentConfig:
         n_total = round(total)
         if abs(total - n_total) > 1e-9 or n_total < 1:
             raise ConfigError("duration_s * rate_hz must be a positive integer")
+        onset = disturbance_onset(self.rate_hz)
+        if n_total < onset:
+            raise ConfigError(f"duration_s must leave a sample after the 1 s disturbance "
+                              f"onset: {n_total} samples end before sample {onset}")
         if not self.windows:
             raise ConfigError("windows must list at least one window")
         for a, b in self.windows:
@@ -271,12 +276,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     log.info("%s: %d admissible sets (max size %d), %d windows",
              case.name, len(sets), cfg.max_set_size, len(cfg.windows))
 
-    spectra: dict[str, np.ndarray] = {"full": singular_spectrum(block)}
+    spectra = spectrum_rows("full", singular_spectrum(block))
     tasks = []
     for first, last in cfg.windows:
         label = cfg.window_label(first, last)
         window_block = block.window(first, last)
-        spectra[label] = singular_spectrum(window_block)
+        spectra += spectrum_rows(label, singular_spectrum(window_block))
         clean = nuclear_norm(window_block.z)
         for validation in sets:
             tasks.append((len(tasks) + 1, label, window_block,
@@ -288,9 +293,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # map returns the results in task order
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         results = list(pool.map(run, tasks))
-    rows = [row for row, _ in results]
-
-    trace = _trace_series(cfg, block, dep)
+    rows = tuple(row for row, _ in results)
 
     meta = {
         "config": _config_echo(cfg),
@@ -300,10 +303,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "n_channels": dep.n_measurements,
         "n_sets": len(sets),
         "n_scenarios": len(rows),
-        "outcomes": _outcome_counts(rows),
-        "in_set_detections": sum(
-            r.outcome == Outcome.DETECTED_WITHIN_SET.value and not r.error for r in rows
-        ),
+        "outcomes": outcome_counts(rows),
+        "in_set_detections": len(in_set_rows(rows)),
         "versions": {
             "pmufdi": _version,
             "numpy": np.__version__,
@@ -313,33 +314,26 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         },
     }
     return ExperimentReport(
-        rows=tuple(rows),
+        rows=rows,
         spectra=spectra,
-        trace=trace,
+        trace=_trace_series(cfg, block, dep),
         meta=meta,
         seconds=tuple(seconds for _, seconds in results),
     )
 
 
-def _trace_series(cfg, block, dep):
+def _trace_series(cfg, block, dep) -> tuple[TraceRow, ...]:
     """Before/after series of the configured channel under an attack on
-    the trace set, designed on the first detection window."""
+    the trace set, designed on the first detection window; () if unset."""
     if cfg.trace_channel is None:
-        return None
+        return ()
     first, last = cfg.windows[0]
     window_block = block.window(first, last)
     scen = design_attack(window_block, dep, cfg.trace_buses)
     before = np.abs(window_block.column(cfg.trace_channel))
     after = np.abs(scen.attacked_block.column(cfg.trace_channel))
     t = np.arange(first, last + 1) / cfg.rate_hz
-    return t, before, after
-
-
-def _outcome_counts(rows) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for row in rows:
-        counts[row.outcome] = counts.get(row.outcome, 0) + 1
-    return dict(sorted(counts.items()))
+    return tuple(map(TraceRow, t.tolist(), before.tolist(), after.tolist()))
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

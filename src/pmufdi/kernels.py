@@ -84,8 +84,8 @@ class SolverOptions:
 
 
 class SolverError(RuntimeError):
-    """The detector's ADMM failed to converge, or an attack's rows are
-    linearly dependent; carries the final residuals."""
+    """The detector's ADMM failed to converge or diverged; carries the
+    residuals and the iteration count at which it stopped."""
 
     def __init__(self, message: str, primal: float, dual: float, iterations: int):
         super().__init__(

@@ -67,8 +67,9 @@ class DependencyMatrix:
 
     @cached_property
     def digest(self) -> str:
-        """Short content hash identifying this matrix (used by block caches);
-        computed once, since ``h`` is read-only."""
+        """Short content hash identifying this matrix, which a block records
+        to be checked against the matrix it is used with; computed once,
+        since ``h`` is read-only."""
         md = hashlib.sha256()
         md.update(np.ascontiguousarray(self.h).tobytes())
         md.update(",".join(self.row_labels).encode())

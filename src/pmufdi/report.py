@@ -3,14 +3,18 @@
 A table is CSV with a header line and ``\\n`` line ends. Floats are
 written with 17 significant digits, so they read back to the same value;
 tuples (bus ids, channel labels) are joined with ``+``, empty for none;
-other values are written with ``str``. Every file is written
-atomically, creating its directory. A dataclass fixes a table's columns:
+other values are written with ``str``. A cell holding a comma, a
+quote, ``\\r`` or ``\\n`` is quoted, so a row reads back bit for bit,
+except that every NaN is written ``nan`` and reads back as the quiet
+NaN ``float("nan")``. Every file is written atomically, creating its
+directory. A dataclass fixes a table's columns:
 :func:`write_records` takes them from its fields in order and
 :func:`read_records` converts each column by its field's annotated type.
 
 An experiment report is ``scenarios.csv``, ``aggregates.csv``,
 ``spectrum.csv``, an optional ``trace.csv``, ``meta.json`` and gnuplot
-scripts that reference only those CSVs. Everything in it is a
+scripts that reference only those CSVs. In memory, as on disk, each
+table is a tuple of its row dataclass. Everything in it is a
 deterministic function of (config, seed); the per-scenario wall times
 go to the sidecar ``timings.csv``, which is excluded from that guarantee.
 :func:`save_report` writes all of it and :func:`load_report` reads it back.
@@ -20,11 +24,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
+import types
 import typing
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,8 +101,8 @@ class TraceRow:
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple[ScenarioRow, ...]
-    spectra: dict[str, np.ndarray]           # window label -> singular values
-    trace: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # t, before, after
+    spectra: tuple[SpectrumRow, ...]
+    trace: tuple[TraceRow, ...]     # empty when no trace channel is configured
     meta: dict
     # per-scenario wall times in row order, or none recorded; they are
     # not deterministic, so they stay out of equality and the contract
@@ -113,20 +118,33 @@ class ExperimentReport:
 
     @property
     def in_set_detections(self) -> tuple[ScenarioRow, ...]:
-        """Designed attacks flagged strictly inside their attacked set.
-
-        The attack's optimality precludes this outcome (either nothing is
-        flagged, or something outside the set is), so any row here means
-        a defect and drives the nonzero exit code.
-        """
-        return tuple(
-            r for r in self.rows
-            if r.outcome == Outcome.DETECTED_WITHIN_SET.value and not r.error
-        )
+        return in_set_rows(self.rows)
 
     @property
     def exit_code(self) -> int:
         return 2 if self.in_set_detections else 0
+
+
+def in_set_rows(rows) -> tuple[ScenarioRow, ...]:
+    """Designed attacks flagged strictly inside their attacked set.
+
+    The attack's optimality precludes this outcome (either nothing is
+    flagged, or something outside the set is), so any row here means
+    a defect and drives the nonzero exit code.
+    """
+    return tuple(r for r in rows
+                 if r.outcome == Outcome.DETECTED_WITHIN_SET.value and not r.error)
+
+
+def outcome_counts(rows) -> dict[str, int]:
+    """How many rows have each outcome, error rows included, by outcome name."""
+    return dict(sorted(Counter(r.outcome for r in rows).items()))
+
+
+def spectrum_rows(label: str, values) -> tuple[SpectrumRow, ...]:
+    """The singular values *values* of the block labelled *label*, 1-based."""
+    return tuple(SpectrumRow(label, i, value)
+                 for i, value in enumerate(np.asarray(values).tolist(), start=1))
 
 
 def aggregate_rows(rows) -> tuple[AggregateRow, ...]:
@@ -192,11 +210,14 @@ def write_text(path: str | Path, content: str) -> Path:
 
 def write_table(path: str | Path, header, rows) -> Path:
     """Write *header* and then each of *rows* (value sequences) as one table."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    lines: list[str] = []
+    # with "\r\n" as its terminator the writer quotes every cell that holds
+    # a "\r" or a "\n"; each line then ends in "\n" alone
+    sink = types.SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n"))
+    writer = csv.writer(sink, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows([_fmt(v) for v in row] for row in rows)
-    return write_text(path, buf.getvalue())
+    return write_text(path, "".join(lines))
 
 
 def write_records(path: str | Path, cls, records) -> Path:
@@ -206,24 +227,36 @@ def write_records(path: str | Path, cls, records) -> Path:
 
 
 def read_records(path: str | Path, cls) -> tuple:
-    """Read a table written by :func:`write_records` back into *cls* rows."""
+    """Read a table written by :func:`write_records` back into *cls* rows.
+
+    A malformed table raises ValueError naming the file, and the line and
+    column at fault where there is one: foreign columns, a row with a cell
+    missing or one too many, or a cell that does not parse as its column's
+    type. Blank lines are skipped.
+    """
     hints = typing.get_type_hints(cls)
-    columns = {f.name: _PARSERS[hints[f.name]] for f in dataclasses.fields(cls)}
+    names = [f.name for f in dataclasses.fields(cls)]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(columns):
-            raise ValueError(f"{path}: columns {reader.fieldnames}, "
-                             f"expected {list(columns)}")
-        return tuple(cls(**{name: parse(rec[name]) for name, parse in columns.items()})
-                     for rec in reader)
-
-
-def write_spectrum(path: str | Path, spectra: dict[str, np.ndarray]) -> Path:
-    """spectrum.csv: the singular values of each labelled block, 1-based."""
-    return write_records(path, SpectrumRow, (
-        SpectrumRow(label, i, value)
-        for label, sv in spectra.items() for i, value in enumerate(sv, start=1)
-    ))
+        reader = csv.reader(fh)
+        lines = [(reader.line_num, cells) for cells in reader if cells]
+    header = lines.pop(0)[1] if lines else None
+    if header != names:
+        raise ValueError(f"{path}: columns {header}, expected {names}")
+    records = []
+    for line, cells in lines:
+        if len(cells) != len(names):
+            column = names[len(cells)] if len(cells) < len(names) else len(names) + 1
+            raise ValueError(f"{path}, line {line}, column {column!r}: "
+                             f"{len(cells)} cells, expected {len(names)}")
+        values = {}
+        for name, cell in zip(names, cells):
+            try:
+                values[name] = _PARSERS[hints[name]](cell)
+            except ValueError:
+                raise ValueError(f"{path}, line {line}, column {name!r}: "
+                                 f"bad value {cell!r}") from None
+        records.append(cls(**values))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +297,17 @@ def save_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     written = [
         write_records(out / "scenarios.csv", ScenarioRow, report.rows),
         write_records(out / "aggregates.csv", AggregateRow, aggregates),
-        write_spectrum(out / "spectrum.csv", report.spectra),
+        write_records(out / "spectrum.csv", SpectrumRow, report.spectra),
         write_text(out / "meta.json", json.dumps(report.meta, indent=2, sort_keys=True) + "\n"),
-        write_text(out / "spectrum.gp", _SPECTRUM_GP.format(windows=" ".join(report.spectra))),
+        write_text(out / "spectrum.gp", _SPECTRUM_GP.format(
+            windows=" ".join(dict.fromkeys(r.window for r in report.spectra)))),
         write_text(out / "aggregates.gp", _AGGREGATES_GP.format(
             windows=" ".join(dict.fromkeys(a.window for a in aggregates)))),
         write_table(out / "timings.csv", ["scenario", "seconds"],
                     ((row.scenario, "%.6f" % t) for row, t in zip(report.rows, report.seconds))),
     ]
-    if report.trace is not None:
-        written.append(write_records(out / "trace.csv", TraceRow,
-                                     (TraceRow(*r) for r in zip(*report.trace))))
+    if report.trace:
+        written.append(write_records(out / "trace.csv", TraceRow, report.trace))
         written.append(write_text(out / "trace.gp", _TRACE_GP))
     return written
 
@@ -289,16 +322,10 @@ def load_report(out_dir: str | Path) -> ExperimentReport:
         raise ReportIntegrityError(
             f"{out}: stored aggregates do not match the scenario rows"
         )
-    spectra: dict[str, list[float]] = {}
-    for point in read_records(out / "spectrum.csv", SpectrumRow):
-        spectra.setdefault(point.window, []).append(point.singular_value)
-    trace = None
-    if (out / "trace.csv").exists():
-        points = read_records(out / "trace.csv", TraceRow)
-        trace = tuple(np.array([dataclasses.astuple(p) for p in points]).reshape(-1, 3).T)
+    trace = out / "trace.csv"
     return ExperimentReport(
         rows=rows,
-        spectra={k: np.array(v) for k, v in spectra.items()},
-        trace=trace,
+        spectra=read_records(out / "spectrum.csv", SpectrumRow),
+        trace=read_records(trace, TraceRow) if trace.exists() else (),
         meta=json.loads((out / "meta.json").read_text()),
     )

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pmufdi.attack import (
-    SolverError,
     apply_attack,
     design_attack,
     induced_measurement_support,
@@ -15,7 +14,9 @@ from pmufdi.attack import (
 )
 from pmufdi.attack_sets import enumerate_attack_sets, validate_attack_set
 from pmufdi.detector import detect
-from pmufdi.kernels import SolverOptions, nuclear_norm
+from pmufdi.blocks import generate_block
+from pmufdi.kernels import SolverError, SolverOptions, nuclear_norm
+from pmufdi.measurements import PmuPlan
 
 from oracles import powell_attack_reference
 
@@ -29,6 +30,13 @@ def random_instance(rng, n=6, n_z=8, k=1):
     g = rng.normal(size=(k, n_z)) + 1j * rng.normal(size=(k, n_z))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     return z, g
+
+
+def test_dependent_attack_rows_name_the_buses(two_bus_case):
+    # bus 2 drives no measured channel, so its row of Hn^T is zero
+    _, block, dep = generate_block(two_bus_case, PmuPlan(voltage_buses=(1,)), 2.0, 10.0, seed=0)
+    with pytest.raises(ValueError, match=r"attacked buses \(2,\).*linearly dependent"):
+        design_attack(block, dep, (2,))
 
 
 def test_empty_set_is_trivial(ieee24_blocks):

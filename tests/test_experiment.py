@@ -30,10 +30,12 @@ from pmufdi.report import (
     ReportIntegrityError,
     ScenarioRow,
     SweepRow,
+    TraceRow,
     aggregate_rows,
     load_report,
     read_records,
     save_report,
+    spectrum_rows,
     write_records,
 )
 
@@ -82,6 +84,8 @@ def test_config_validation_errors():
         small_cfg(weight=0.0)
     with pytest.raises(ConfigError):
         small_cfg(duration_s=5.003)
+    with pytest.raises(ConfigError, match="duration_s"):           # ends before the onset
+        small_cfg(duration_s=1.0, windows=((1, 30),), limit=1)
     with pytest.raises(ConfigError, match="limit"):
         small_cfg(limit=-1)
     assert small_cfg(limit=0).limit == 0
@@ -224,7 +228,7 @@ def test_report_contents(tiny_report):
         assert row.outcome == Outcome.BYPASSED.value
         assert row.ratio <= 1 + 1e-6
         assert row.clean_nuclear > 0
-    assert set(report.spectra) == {"full", "1-3s", "3-5s"}
+    assert {r.window for r in report.spectra} == {"full", "1-3s", "3-5s"}
     # save_report returns every file it wrote, and writes no other
     assert sorted(written) == sorted(out.iterdir())
     assert {p.name for p in written} == {
@@ -240,12 +244,11 @@ def test_report_contents(tiny_report):
 
 def test_trace_series(tiny_report):
     cfg, report, out, _ = tiny_report
-    t, before, after = report.trace
     first, last = cfg.windows[0]
-    assert len(t) == last - first + 1
-    assert t[0] == pytest.approx(31 / 30.0)
-    assert np.all(before > 0)
-    assert not np.array_equal(before, after)
+    assert len(report.trace) == last - first + 1
+    assert report.trace[0].time_s == pytest.approx(31 / 30.0)
+    assert all(r.before > 0 for r in report.trace)
+    assert any(r.before != r.after for r in report.trace)
     # plot scripts reference only emitted CSVs
     for script in ("spectrum.gp", "aggregates.gp", "trace.gp"):
         text = (out / script).read_text()
@@ -261,9 +264,7 @@ DETERMINISTIC = ["scenarios.csv", "aggregates.csv", "spectrum.csv", "trace.csv",
 def test_report_round_trip_and_integrity(tiny_report, tmp_path):
     cfg, report, out, _ = tiny_report
     loaded = load_report(out)
-    assert loaded.rows == report.rows
-    assert loaded.aggregates == report.aggregates
-    assert loaded.meta == report.meta
+    assert loaded == report
 
     # the loaded report writes back the same bytes
     save_report(loaded, tmp_path)
@@ -304,8 +305,8 @@ def test_error_row_round_trips_byte_for_byte(tmp_path):
     )
     report = ExperimentReport(
         rows=rows,
-        spectra={"full": np.array([3.0, 0.5, 1e-17])},
-        trace=(np.array([1.0, 1.1]), np.array([0.2, 0.3]), np.array([0.25, 0.3])),
+        spectra=spectrum_rows("full", [3.0, 0.5, 1e-17]),
+        trace=(TraceRow(1.0, 0.2, 0.25), TraceRow(1.1, 0.3, 0.3)),
         meta={"n_scenarios": 2},
     )
     save_report(report, tmp_path / "a")
@@ -333,8 +334,7 @@ def test_records_round_trip_and_reject_foreign_columns(tmp_path):
 def test_worker_pool_matches_serial(tmp_path):
     serial = run_experiment(small_cfg(out_dir=str(tmp_path / "s")))
     threaded = run_experiment(small_cfg(out_dir=str(tmp_path / "t"), workers=4))
-    assert serial.rows == threaded.rows
-    assert serial.aggregates == threaded.aggregates
+    assert serial == threaded
 
 
 def test_report_bytes_independent_of_threads(tmp_path):
@@ -380,11 +380,11 @@ def test_exit_code_flags_in_set_detection():
     row = ScenarioRow(1, "w", 1, (8,), 10.0, 9.0, 0.9,
                       Outcome.DETECTED_WITHIN_SET.value,
                       5, 0.0, 0.0, (8,))
-    report = ExperimentReport(rows=(row,), spectra={}, trace=None, meta={})
+    report = ExperimentReport(rows=(row,), spectra=(), trace=(), meta={})
     assert report.in_set_detections == (row,)
     assert report.exit_code == 2
     with pytest.raises(ValueError, match="2 wall times for 1 rows"):
-        ExperimentReport(rows=(row,), spectra={}, trace=None, meta={}, seconds=(1.0, 2.0))
+        ExperimentReport(rows=(row,), spectra=(), trace=(), meta={}, seconds=(1.0, 2.0))
 
 
 def test_lambda_sweep_outcomes(tmp_path):

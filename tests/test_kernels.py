@@ -96,6 +96,18 @@ def test_svt_rejects_bad_input():
         svt(np.array([[complex(1.0, np.inf), 0.0], [0.0, 1.0]]), 1.0)
 
 
+def test_svt_falls_back_to_gesvd(monkeypatch):
+    m = random_complex(np.random.default_rng(5), (9, 6))
+    expected = svt(m, 0.5)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    got = svt(m, 0.5)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 # --- column shrinkage -------------------------------------------------------
 
 def test_shrink_columns_known_values():
