@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .blocks import MeasurementBlock
 from .kernels import (
@@ -95,7 +94,8 @@ def _minimize_postattack_norm(z: np.ndarray, g: np.ndarray) -> np.ndarray:
         raise ValueError("their rows of the attack dictionary are linearly dependent")
     wq = -(z @ q_cols)
     # undo the reparameterization: W R^H = W_q
-    return scipy.linalg.solve_triangular(r_tri, wq.conj().T, lower=False).conj().T
+    # R is upper triangular, so the LU inside solve swaps no rows
+    return np.linalg.solve(r_tri, wq.conj().T).conj().T
 
 
 def naive_ramp_attack(

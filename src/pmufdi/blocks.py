@@ -137,9 +137,13 @@ def generate_block(
     n_steps = int(round(steps))
     if abs(steps - n_steps) > 1e-9 or n_steps < 1:
         raise ValueError(f"duration*rate must be a positive integer, got {steps}")
+    onset = disturbance_onset(rate_hz)
+    if n_steps < onset:
+        raise ValueError(f"duration_s={duration_s!r} at rate_hz={rate_hz!r} gives {n_steps} "
+                         f"samples, which end before the disturbance onset at sample {onset}")
     dep = build_measurement_matrix(case, plan)
     adm = build_admittances(case)
-    traj = perturb_loads(case, n_steps, disturbance_onset(rate_hz), seed, policy)
+    traj = perturb_loads(case, n_steps, onset, seed, policy)
     x = np.empty((n_steps, case.n_bus), dtype=complex)
     iterations = []
     mismatches = []

@@ -75,6 +75,13 @@ class DependencyMatrix:
         md.update(",".join(self.row_labels).encode())
         return md.hexdigest()[:12]
 
+    @cached_property
+    def smax2(self) -> float:
+        """smax(h_normalized)^2, the squared largest singular value of the
+        normalized matrix: the curvature bound of the detector's C-step,
+        computed once, since ``h_normalized`` is read-only."""
+        return float(np.linalg.svd(self.h_normalized.T, compute_uv=False)[0] ** 2)
+
     def row_index(self, label: str) -> int:
         try:
             return self.row_labels.index(label)

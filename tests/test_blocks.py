@@ -39,6 +39,12 @@ def test_non_integral_sample_count_rejected(ieee24_case, ieee24_plan):
         generate_block(ieee24_case, ieee24_plan, -5.0, -30.0, seed=1)
 
 
+def test_block_ending_before_the_onset_rejected(ieee24_case, ieee24_plan):
+    # 30 samples end before the disturbance starts at sample 31
+    with pytest.raises(ValueError, match=r"duration_s=1\.0 at rate_hz=30\.0 .* sample 31"):
+        generate_block(ieee24_case, ieee24_plan, 1.0, 30.0, seed=1)
+
+
 def test_pre_disturbance_rows_identical(ieee24_blocks):
     _, block, _ = ieee24_blocks
     first_second = block.z[:30]

@@ -337,6 +337,62 @@ def test_worker_pool_matches_serial(tmp_path):
     assert serial == threaded
 
 
+def test_worker_pool_matches_serial_on_the_subspace_path(tmp_path):
+    # the 118-bus windows take the detector's subspace svt, whose warm
+    # state lives in each detection, so threads share none of it
+    cfg = load_config(CONFIG_DIR / "ieee118.yaml", limit=2, out_dir=str(tmp_path))
+    serial = run_experiment(dataclasses.replace(cfg, workers=1))
+    threaded = run_experiment(dataclasses.replace(cfg, workers=4))
+    assert serial == threaded
+
+
+def detections(monkeypatch, cfg):
+    """Diagnostics of every detection of run_experiment(cfg)."""
+    found = []
+
+    def recording(*args, **kwargs):
+        result = experiment_detect(*args, **kwargs)
+        found.append(result.diagnostics)
+        return result
+
+    experiment_detect = experiment.detect
+    monkeypatch.setattr(experiment, "detect", recording)
+    run_experiment(cfg)
+    return found
+
+
+def test_full_svds_counted_per_detection(monkeypatch, tmp_path):
+    # the 60 x 41 windows of the 24-bus config never engage the subspace
+    # path; the 60 x 157 ones of the 118-bus config nearly always do
+    small = detections(monkeypatch, load_config(CONFIG_DIR / "ieee24.yaml", limit=3,
+                                                out_dir=str(tmp_path)))
+    assert small and all(d.full_svds == d.iterations for d in small)
+    wide = detections(monkeypatch, load_config(CONFIG_DIR / "ieee118.yaml", limit=12,
+                                               out_dir=str(tmp_path)))
+    assert len(wide) == 24
+    assert sum(d.full_svds for d in wide) <= 0.1 * sum(d.iterations for d in wide)
+
+
+def test_experiment_does_not_import_scipy_linalg(tmp_path):
+    # scipy.linalg costs ~0.3 s and ~26 MB per process; only the SVD's
+    # rare gesvd fallback imports it
+    code = (
+        "import sys\n"
+        "import pmufdi.cli\n"
+        "try:\n"
+        "    pmufdi.cli.main(['experiment', '--config', sys.argv[1], '--limit', '1',\n"
+        "                     '--out-dir', sys.argv[2]])\n"
+        "except SystemExit as stop:\n"
+        "    assert stop.code == 0, stop.code\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
+    subprocess.run([sys.executable, "-c", code, str(CONFIG_DIR / "ieee24.yaml"),
+                    str(tmp_path / "out")],
+                   env=env, cwd=tmp_path, check=True, capture_output=True, timeout=300)
+    assert (tmp_path / "out" / "scenarios.csv").exists()
+
+
 def test_report_bytes_independent_of_threads(tmp_path):
     # each run is a fresh process, so the BLAS library starts at the
     # thread count of its OPENBLAS_NUM_THREADS before the package pins it

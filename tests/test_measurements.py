@@ -106,3 +106,9 @@ def test_row_and_column_lookup(ieee24_dep):
         ieee24_dep.row_index("F:999")
     with pytest.raises(PlanError):
         ieee24_dep.column_index(999)
+
+
+def test_smax2_is_computed_once(ieee118_dep):
+    expected = float(np.linalg.svd(ieee118_dep.h_normalized.T, compute_uv=False)[0] ** 2)
+    assert ieee118_dep.smax2 == expected
+    assert ieee118_dep.smax2 is ieee118_dep.smax2
