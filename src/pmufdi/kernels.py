@@ -117,7 +117,10 @@ class SolverDiagnostics:
     iteration map counts in *iterations*; *extrapolated* and *rejected*
     count the Anderson-extrapolated points the safeguard kept and
     turned away, and *full_svds* the M-steps that ran the full SVD
-    rather than the certified subspace path of :class:`WarmBasis`."""
+    rather than the certified subspace path of :class:`WarmBasis`.
+    *gap* is the duality-gap screen's best relative gap for the point
+    (Zbar, 0), recorded by :func:`pmufdi.detector.detect` on every call,
+    screened or not; None where no screen ran."""
     iterations: int
     primal_residual: float
     dual_residual: float
@@ -125,6 +128,7 @@ class SolverDiagnostics:
     extrapolated: int = 0
     rejected: int = 0
     full_svds: int = 0
+    gap: float | None = None
 
 
 def _require_finite(m: np.ndarray, name: str) -> np.ndarray:

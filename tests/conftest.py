@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 import pmufdi
+from pmufdi import experiment
 
 # generated inputs come from a fixed derivation, so every run of the
 # suite draws the same examples and nothing is stored between runs
@@ -28,6 +29,28 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" ({detail})"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def detect_calls(monkeypatch):
+    """A function that runs an experiment config and returns the
+    (attacked block, dependency matrix, keyword arguments, result) of
+    each of its detections."""
+    def run(cfg):
+        found = []
+
+        def recording(block, dep, **kwargs):
+            result = experiment_detect(block, dep, **kwargs)
+            found.append((block, dep, kwargs, result))
+            return result
+
+        experiment_detect = experiment.detect
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "detect", recording)
+            experiment.run_experiment(cfg)
+        return found
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 import dataclasses
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmufdi.detector
 from pmufdi.attack import design_attack, naive_ramp_attack, SolverDiagnostics
 from pmufdi.attack_sets import enumerate_attack_sets
 from pmufdi.blocks import generate_block, read_block_csv, write_block_csv
@@ -17,10 +19,14 @@ from pmufdi.detector import (
     detect,
     identify_support,
     _decompose,
+    _screen_gap,
 )
+from pmufdi.experiment import load_config
 from pmufdi.kernels import SolverOptions, l12_norm, nuclear_norm
 
 from oracles import subgradient_detector_reference
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_clean_block_passes(ieee24_blocks, ieee24_dep):
@@ -34,6 +40,16 @@ def test_clean_block_passes(ieee24_blocks, ieee24_dep):
         # the low-rank factor is the data itself, up to solver residue
         gap = np.linalg.norm(result.z_lowrank - window.z)
         assert gap <= 1e-4 * np.linalg.norm(window.z)
+
+
+def test_zero_block_is_certified_clean(ieee24_blocks):
+    _, block, dep = ieee24_blocks
+    window = block.window(31, 90)
+    result = detect(dataclasses.replace(window, z=np.zeros_like(window.z)), dep)
+    assert result.diagnostics.iterations == 0 and result.diagnostics.gap == 0.0
+    assert not np.any(result.z_lowrank) and not np.any(result.c)
+    assert (result.objective, result.feasibility_residual) == (0.0, 0.0)
+    assert classify_outcome(result, None) is Outcome.CLEAN
 
 
 def test_designed_attack_bypasses(ieee24_blocks):
@@ -51,6 +67,10 @@ def test_naive_attack_recovered_exactly(ieee24_blocks):
     result = detect(attacked, dep)
     assert result.state_support == (9,)
     assert classify_outcome(result, (9,)) is Outcome.DETECTED_WITHIN_SET
+    # the screen's gap is recorded, and it is far above the tolerance
+    assert result.diagnostics.iterations > 0
+    assert result.diagnostics.gap == _screen(attacked.z, dep.h_normalized.T, 1.05)
+    assert result.diagnostics.gap >= 1e-3
     # flagged channels stay inside the attacked state's measurement set
     touched = {i for i, label in enumerate(result.labels)
                if dep.h[i, dep.column_index(9)] != 0}
@@ -190,6 +210,111 @@ def test_small_instances_match_subgradient_reference():
         reference = subgradient_detector_reference(zbar, g_rows, weight)
         assert admm_obj <= reference + 1e-3 * max(1.0, reference)
         assert reference <= admm_obj + 1e-3 * max(1.0, admm_obj)
+
+
+@pytest.mark.parametrize("config, limit, screened, total", [
+    ("ieee24.yaml", None, 76, 114),
+    ("ieee118.yaml", 12, 24, 24),
+])
+def test_screened_rows_match_the_unscreened_solve(
+        detect_calls, monkeypatch, tmp_path, config, limit, screened, total):
+    # the counts are exact: the BLAS runs on one thread, so every run
+    # takes the same SVDs bit for bit
+    cfg = load_config(CONFIG_DIR / config, limit=limit, out_dir=str(tmp_path))
+    calls = detect_calls(cfg)
+    hits = [call for call in calls if call[3].diagnostics.iterations == 0]
+    assert (len(hits), len(calls)) == (screened, total)
+    for *_, kwargs, result in calls:
+        certified = result.diagnostics.gap <= kwargs["options"].tol_rel
+        assert certified == (result.diagnostics.iterations == 0)
+    monkeypatch.setattr(pmufdi.detector, "_screen_gap", lambda *args: np.inf)
+    for block, dep, kwargs, result in hits:
+        assert result.feasibility_residual == 0.0
+        assert np.array_equal(result.z_lowrank, block.z) and not np.any(result.c)
+        assert result.objective == pytest.approx(nuclear_norm(block.z), rel=1e-12)
+        full = detect(block, dep, **kwargs)
+        assert full.diagnostics.iterations > 0
+        assert not np.any(full.c)
+        assert full.state_support == result.state_support == ()
+        assert full.channel_support == result.channel_support == ()
+        # with both supports empty, any attacked set reads as bypassed
+        assert classify_outcome(full, (1,)) is classify_outcome(result, (1,)) is Outcome.BYPASSED
+
+
+def _dual_gap_by_rank(zbar, g, weight):
+    """Relative gaps of (Zbar, 0) against the explicit dual points
+    Y_r = U_r V_r^H / max(1, kappa_r), each checked dual feasible."""
+    u, s, vh = np.linalg.svd(zbar, full_matrices=False)
+    total = float(np.sum(s))
+    gaps = []
+    for r in range(1, s.size + 1):
+        y = u[:, :r] @ vh[:r]
+        kappa = float(np.linalg.norm(y @ g.conj().T, axis=0).max()) / weight
+        y = y / max(1.0, kappa)
+        assert np.linalg.norm(y, 2) <= 1.0 + 1e-12
+        assert np.linalg.norm(y @ g.conj().T, axis=0).max() <= weight * (1.0 + 1e-12)
+        dual = float(np.vdot(y, zbar).real)
+        assert dual == pytest.approx(float(np.sum(s[:r])) / max(1.0, kappa),
+                                     rel=1e-12, abs=1e-12 * total)
+        gaps.append((total - dual) / total)
+    return gaps
+
+
+def _screen(zbar, g, weight):
+    _, s, vh = np.linalg.svd(zbar, full_matrices=False)
+    return _screen_gap(s, vh, g, weight)
+
+
+def test_screen_gap_matches_the_dual_on_the_shipped_block(ieee24_blocks):
+    _, block, dep = ieee24_blocks
+    g = dep.h_normalized.T
+    window = block.window(91, 150)
+    designed = design_attack(window, dep, (8,)).attacked_block.z
+    _, naive = naive_ramp_attack(window, dep, (9,), scale=0.5, seed=21)
+    for zbar in (window.z, designed, naive.z):
+        assert _screen(zbar, g, 1.05) == pytest.approx(
+            max(0.0, min(_dual_gap_by_rank(zbar, g, 1.05))), rel=1e-9, abs=1e-13)
+    assert _screen(designed, g, 1.05) <= SolverOptions().tol_rel
+    assert _screen(naive.z, g, 1.05) >= 1e-3
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), cols=st.integers(1, 8),
+       states=st.integers(1, 6), rank=st.integers(1, 8),
+       weight=st.floats(0.05, 5.0), magnitude=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_screen_gap_matches_the_dual(seed, rows, cols, states, rank, weight, magnitude):
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    zbar = magnitude * gaussian(rows, rank) @ gaussian(rank, cols)
+    g = gaussian(states, cols)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    gap = _screen(zbar, g, weight)
+    assert 0.0 <= gap <= 1.0
+    assert gap == pytest.approx(max(0.0, min(_dual_gap_by_rank(zbar, g, weight))),
+                                rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_naive_ramps_are_never_screened(seed):
+    # the ramps of the benchmark's naive workload (perfbench/naive.py):
+    # every voltage-measured bus on both shipped windows
+    cfg = load_config(CONFIG_DIR / "ieee24.yaml")
+    case, plan = cfg.load_grid()
+    _, block, dep = generate_block(case, plan, cfg.duration_s, cfg.rate_hz, cfg.seed,
+                                   policy=cfg.disturbance)
+    windows = [block.window(first, last) for first, last in cfg.windows]
+    buses = np.random.default_rng(seed).permutation(plan.voltage_buses)
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for bus in buses:
+        for window in windows:
+            _, attacked = naive_ramp_attack(window, dep, (int(bus),), scale=cfg.naive_scale,
+                                            seed=int(rng.integers(0, 2**31)))
+            gaps.append(_screen(attacked.z, dep.h_normalized.T, cfg.weight))
+    assert len(gaps) == 18
+    assert min(gaps) >= 1e-3
 
 
 def _result_with_norms(state_norms, channel_norms, frob=1.0):
