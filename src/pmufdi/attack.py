@@ -27,7 +27,8 @@ W = -Z Q^H R^(-H) alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -46,9 +47,15 @@ class AttackScenario:
     c: np.ndarray                  # (N, n_bus) complex; zero outside the set
     attacked_block: MeasurementBlock
     objective: float               # nuclear norm of the post-attack block
-    baseline_objective: float      # nuclear norm of the clean block
+    block: MeasurementBlock = field(repr=False)   # the clean block
     # no solver runs; perfbench/tracer.py's attack.design span reads .iterations
     diagnostics: SolverDiagnostics = SolverDiagnostics(0, 0.0, 0.0, 1.0)
+
+    @cached_property
+    def baseline_objective(self) -> float:
+        """Nuclear norm of the clean block, computed on first read: an
+        experiment has it per window already."""
+        return nuclear_norm(self.block.z)
 
 
 def design_attack(
@@ -66,7 +73,6 @@ def design_attack(
     block.check_dependency(dep)
     z = block.z
     attacked = tuple(sorted(set(int(b) for b in attacked_buses)))
-    baseline = nuclear_norm(z)
 
     c = np.zeros((block.n_steps, dep.n_states), dtype=complex)
     if attacked:
@@ -81,8 +87,8 @@ def design_attack(
         attacked_buses=attacked,
         c=c,
         attacked_block=attacked_block,
-        objective=nuclear_norm(attacked_block.z) if attacked else baseline,
-        baseline_objective=baseline,
+        objective=nuclear_norm(attacked_block.z if attacked else z),
+        block=block,
     )
 
 

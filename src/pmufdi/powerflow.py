@@ -6,12 +6,21 @@ The mismatch and Jacobian use the complex formulation
     dS/dVa = j diag(V) conj(diag(I) - Ybus diag(V))
     dS/dVm = diag(V) conj(Ybus diag(V/|V|)) + conj(diag(I)) diag(V/|V|)
 
-with active-power rows for all non-slack buses and reactive rows for PQ
-buses. Each diag(.) product is applied as a row or column scaling, so
-building the Jacobian costs O(n^2). PV-bus voltage magnitudes are held
-at their setpoints and the slack bus absorbs the residual injection.
-Reactive limits are not enforced; bus types stay fixed throughout the
-solve.
+with I = Ybus V, active-power rows for all non-slack buses and reactive
+rows for PQ buses (the sparse formulation of MATPOWER; Zimmerman,
+Murillo-Sanchez & Thomas, IEEE Trans. Power Syst. 2011). Entry (i, k)
+of either derivative off the diagonal is a product with Ybus[i, k], so
+it vanishes wherever Ybus does: both are evaluated only on the nonzeros
+of Ybus plus the diagonal, with the dense formulas' elementwise
+arithmetic, and their real and imaginary parts are scattered straight
+into the Jacobian. Building it costs O(nnz(Ybus)); the Jacobian equals
+the dense construction's, whose entries off that pattern are zeros.
+The pattern, where it lands in the Jacobian, and the case's bus types,
+voltage setpoints and generation are built once per admittance set
+(:attr:`AdmittanceSet.newton`), not once per solve; the Newton step is
+a dense LU solve. PV-bus voltage magnitudes are held at their setpoints
+and the slack bus absorbs the residual injection. Reactive limits are
+not enforced; bus types stay fixed throughout the solve.
 """
 
 from __future__ import annotations
@@ -45,12 +54,74 @@ class PowerFlowSolution:
     mismatch: float          # max |S mismatch| at exit
 
 
-def _injection_spec(case: GridCase, pd: np.ndarray, qd: np.ndarray) -> np.ndarray:
-    s = -(pd.astype(float) + 1j * qd.astype(float))
-    for gen in case.generators:
-        i = case.bus_index(gen.bus)
-        s[i] += gen.pg + 1j * gen.qg
-    return s
+@dataclass(frozen=True)
+class JacobianPattern:
+    """Where the Jacobian for one Ybus and one split of the buses into
+    [va[pvpq], vm[pq]] can be nonzero."""
+
+    rows: np.ndarray         # bus pairs (rows[p], cols[p]): the nonzeros of
+    cols: np.ndarray         # Ybus plus its whole diagonal, row-major
+    y: np.ndarray            # Ybus[rows, cols]
+    diag: np.ndarray         # position of (i, i) in the pattern, for each bus i
+    src: np.ndarray          # entries of [dS/dVa, dS/dVm] on the pattern, as floats
+    dst: np.ndarray          # ... and where each lands in the flattened Jacobian
+    size: int                # pvpq.size + pq.size
+
+    @classmethod
+    def build(cls, ybus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray) -> JacobianPattern:
+        n = ybus.shape[0]
+        mask = ybus != 0
+        np.fill_diagonal(mask, True)
+        rows, cols = np.nonzero(mask)
+        nnz = rows.size
+        size = pvpq.size + pq.size
+        # Jacobian row (column) of each bus's P (va) and Q (vm); -1 if none
+        p_of = np.full(n, -1)
+        p_of[pvpq] = np.arange(pvpq.size)
+        q_of = np.full(n, -1)
+        q_of[pq] = pvpq.size + np.arange(pq.size)
+        # the float view of [dS/dVa, dS/dVm] interleaves real and imaginary parts
+        src, dst = [], []
+        for first, row_of, col_of in ((0, p_of, p_of), (2 * nnz, p_of, q_of),
+                                      (1, q_of, p_of), (2 * nnz + 1, q_of, q_of)):
+            r, c = row_of[rows], col_of[cols]
+            keep = np.flatnonzero((r >= 0) & (c >= 0))
+            src.append(first + 2 * keep)
+            dst.append(r[keep] * size + c[keep])
+        return cls(rows=rows, cols=cols, y=ybus[rows, cols],
+                   diag=np.flatnonzero(rows == cols),
+                   src=np.concatenate(src), dst=np.concatenate(dst), size=size)
+
+
+@dataclass(frozen=True)
+class NewtonPlan:
+    """What a solve needs of the case and its Ybus, the same at every instant."""
+
+    pq: np.ndarray
+    pvpq: np.ndarray
+    slack: int
+    va_slack: float          # slack angle, rad
+    fixed: np.ndarray        # buses whose magnitude is pinned (PV and slack)
+    vm_fixed: np.ndarray     # ... and their setpoints
+    gen_bus: np.ndarray      # generator buses, in generator order
+    gen_s: np.ndarray        # ... and their complex injections, p.u.
+    pattern: JacobianPattern
+
+    @classmethod
+    def build(cls, case: GridCase, ybus: np.ndarray) -> NewtonPlan:
+        types = np.array([b.type for b in case.buses])
+        pq = np.flatnonzero(types == PQ)
+        pvpq = np.flatnonzero(types != SLACK)
+        slack = int(np.flatnonzero(types == SLACK)[0])
+        fixed = types != PQ
+        return cls(
+            pq=pq, pvpq=pvpq, slack=slack,
+            va_slack=np.deg2rad(case.buses[slack].va_deg),
+            fixed=fixed, vm_fixed=_voltage_setpoints(case)[fixed],
+            gen_bus=np.array([case.bus_index(g.bus) for g in case.generators], dtype=int),
+            gen_s=np.array([g.pg + 1j * g.qg for g in case.generators], dtype=complex),
+            pattern=JacobianPattern.build(ybus, pvpq, pq),
+        )
 
 
 def _voltage_setpoints(case: GridCase) -> np.ndarray:
@@ -63,17 +134,31 @@ def _voltage_setpoints(case: GridCase) -> np.ndarray:
     return vm
 
 
-def _jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: np.ndarray,
-              pq: np.ndarray) -> np.ndarray:
-    """Real Jacobian of the mismatch with respect to va[pvpq] and vm[pq]."""
-    ibus = ybus @ v
+def _jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: np.ndarray, pq: np.ndarray,
+              ibus: np.ndarray | None = None,
+              pattern: JacobianPattern | None = None) -> np.ndarray:
+    """Real Jacobian of the mismatch with respect to va[pvpq] and vm[pq].
+
+    *ibus* = Ybus v and *pattern* (built from *ybus*, *pvpq* and *pq*)
+    are computed here unless the caller already has them.
+    """
+    if pattern is None:
+        pattern = JacobianPattern.build(ybus, pvpq, pq)
+    if ibus is None:
+        ibus = ybus @ v
+    rows, nnz = pattern.rows, pattern.rows.size
+    v_row = v[rows]
     vnorm = v / np.abs(v)
-    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - ybus * v)
-    ds_dvm = v[:, None] * np.conj(ybus * vnorm) + np.diag(np.conj(ibus) * vnorm)
-    return np.block([
-        [ds_dva.real[np.ix_(pvpq, pvpq)], ds_dvm.real[np.ix_(pvpq, pq)]],
-        [ds_dva.imag[np.ix_(pq, pvpq)], ds_dvm.imag[np.ix_(pq, pq)]],
-    ])
+    # the dense diag(.) terms, zero off the diagonal as there
+    on_diag = np.zeros(nnz, dtype=complex)
+    on_diag[pattern.diag] = ibus
+    ds = np.empty(2 * nnz, dtype=complex)
+    ds[:nnz] = 1j * v_row * np.conj(on_diag - pattern.y * v[pattern.cols])
+    on_diag[pattern.diag] = np.conj(ibus) * vnorm
+    ds[nnz:] = v_row * np.conj(pattern.y * vnorm[pattern.cols]) + on_diag
+    jac = np.zeros(pattern.size * pattern.size)
+    jac[pattern.dst] = ds.view(float)[pattern.src]
+    return jac.reshape(pattern.size, pattern.size)
 
 
 def solve_ac_power_flow(
@@ -91,35 +176,33 @@ def solve_ac_power_flow(
     """
     if not (np.all(np.isfinite(pd)) and np.all(np.isfinite(qd))):
         raise ValueError("demands must be finite")
-    ybus = (adm or build_admittances(case)).ybus
-    n = case.n_bus
+    adm = adm or build_admittances(case)
+    ybus = adm.ybus
+    # admittances built from another case object get a plan of their own
+    plan = adm.newton if adm.case is case else NewtonPlan.build(case, ybus)
+    pq, pvpq = plan.pq, plan.pvpq
 
-    types = np.array([b.type for b in case.buses])
-    pq = np.flatnonzero(types == PQ)
-    pvpq = np.flatnonzero(types != SLACK)
-    slack = int(np.flatnonzero(types == SLACK)[0])
-
-    setpoints = _voltage_setpoints(case)
     if v0 is not None:
         vm = np.abs(v0).astype(float)
         va = np.angle(v0).astype(float)
     else:
-        vm = np.ones(n)
-        va = np.full(n, np.deg2rad(case.buses[slack].va_deg))
+        vm = np.ones(case.n_bus)
+        va = np.full(case.n_bus, plan.va_slack)
     # pinned magnitudes override any start value
-    fixed = types != PQ
-    vm[fixed] = setpoints[fixed]
-    va[slack] = np.deg2rad(case.buses[slack].va_deg)
+    vm[plan.fixed] = plan.vm_fixed
+    va[plan.slack] = plan.va_slack
 
-    s_spec = _injection_spec(case, pd, qd)
+    s_spec = -(pd.astype(float) + 1j * qd.astype(float))
+    # in generator order, so that a bus's generators add up as listed
+    np.add.at(s_spec, plan.gen_bus, plan.gen_s)
 
-    def mismatch(v: np.ndarray) -> np.ndarray:
-        s = v * np.conj(ybus @ v)
-        ds = s - s_spec
-        return np.concatenate([ds.real[pvpq], ds.imag[pq]])
+    def mismatch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ibus = ybus @ v
+        ds = v * np.conj(ibus) - s_spec
+        return np.concatenate([ds.real[pvpq], ds.imag[pq]]), ibus
 
     v = vm * np.exp(1j * va)
-    f = mismatch(v)
+    f, ibus = mismatch(v)
     worst = float(np.max(np.abs(f))) if f.size else 0.0
     iterations = 0
 
@@ -127,13 +210,13 @@ def solve_ac_power_flow(
         if iterations >= _MAX_ITER:
             raise PowerFlowError("power flow did not converge", worst, iterations)
         try:
-            dx = np.linalg.solve(_jacobian(ybus, v, pvpq, pq), -f)
+            dx = np.linalg.solve(_jacobian(ybus, v, pvpq, pq, ibus, plan.pattern), -f)
         except np.linalg.LinAlgError:
             raise PowerFlowError("singular power-flow Jacobian", worst, iterations) from None
         va[pvpq] += dx[: pvpq.size]
         vm[pq] += dx[pvpq.size:]
         v = vm * np.exp(1j * va)
-        f = mismatch(v)
+        f, ibus = mismatch(v)
         worst = float(np.max(np.abs(f)))
         iterations += 1
 

@@ -2,7 +2,8 @@
 
 Each oracle deliberately avoids the code paths it checks: the power flow
 here is Gauss-Seidel rather than Newton, the bus admittance matrix is
-stamped entry by entry with scalar arithmetic, the nuclear norm comes
+stamped entry by entry with scalar arithmetic, the power-flow Jacobian
+is gathered from dense n x n derivative matrices, the nuclear norm comes
 from an eigendecomposition, and the convex programs are re-solved with
 derivative-free or subgradient methods.
 """
@@ -64,6 +65,20 @@ def stamp_ybus(case: GridCase) -> np.ndarray:
         i = case.bus_index(bus.id)
         y[i, i] += complex(bus.gs, bus.bs)
     return y
+
+
+def dense_jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: np.ndarray,
+                   pq: np.ndarray) -> np.ndarray:
+    """Real power-flow Jacobian with respect to va[pvpq] and vm[pq], from
+    dS/dVa and dS/dVm evaluated at every bus pair."""
+    ibus = ybus @ v
+    vnorm = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - ybus * v)
+    ds_dvm = v[:, None] * np.conj(ybus * vnorm) + np.diag(np.conj(ibus) * vnorm)
+    return np.block([
+        [ds_dva.real[np.ix_(pvpq, pvpq)], ds_dvm.real[np.ix_(pvpq, pq)]],
+        [ds_dva.imag[np.ix_(pq, pvpq)], ds_dvm.imag[np.ix_(pq, pq)]],
+    ])
 
 
 def bfs_connected(bus_ids, branches) -> bool:

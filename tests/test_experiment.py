@@ -366,22 +366,26 @@ def test_full_svds_counted_per_detection(detect_calls, tmp_path):
 
 def test_experiment_does_not_import_scipy_linalg(tmp_path):
     # scipy.linalg costs ~0.3 s and ~26 MB per process; only the SVD's
-    # rare gesvd fallback imports it
+    # rare gesvd fallback imports it. scipy.sparse costs ~0.17 s; the
+    # power flow's Jacobian is built on Ybus's pattern without it.
     code = (
         "import sys\n"
         "import pmufdi.cli\n"
         "try:\n"
-        "    pmufdi.cli.main(['experiment', '--config', sys.argv[1], '--limit', '1',\n"
-        "                     '--out-dir', sys.argv[2]])\n"
+        "    pmufdi.cli.main(['experiment', '--config', sys.argv[1], '--limit', sys.argv[2],\n"
+        "                     '--out-dir', sys.argv[3]])\n"
         "except SystemExit as stop:\n"
         "    assert stop.code == 0, stop.code\n"
         "assert 'scipy.linalg' not in sys.modules\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
-    subprocess.run([sys.executable, "-c", code, str(CONFIG_DIR / "ieee24.yaml"),
-                    str(tmp_path / "out")],
-                   env=env, cwd=tmp_path, check=True, capture_output=True, timeout=300)
-    assert (tmp_path / "out" / "scenarios.csv").exists()
+    for config, limit in (("ieee24.yaml", "1"), ("ieee118.yaml", "0")):
+        out = tmp_path / config
+        subprocess.run([sys.executable, "-c", code, str(CONFIG_DIR / config), limit,
+                        str(out)],
+                       env=env, cwd=tmp_path, check=True, capture_output=True, timeout=300)
+        assert (out / "scenarios.csv").exists()
 
 
 def test_report_bytes_independent_of_threads(tmp_path):

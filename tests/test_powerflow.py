@@ -1,12 +1,18 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pmufdi import powerflow
+from pmufdi import blocks, powerflow
 from pmufdi.admittance import build_admittances
 from pmufdi.cases import PQ, SLACK, parse_case
+from pmufdi.experiment import load_config
 from pmufdi.powerflow import PowerFlowError, solve_ac_power_flow
 
-from oracles import gauss_seidel_power_flow
+from oracles import dense_jacobian, gauss_seidel_power_flow
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 THREE_BUS_RING = """\
 function mpc = ring3
@@ -155,3 +161,72 @@ def test_singular_jacobian_reported():
     case = parse_case(ISOLATED_BUS)
     with pytest.raises(PowerFlowError, match="singular"):
         solve_ac_power_flow(case, np.array([0.0, 0.0, 0.5]), np.zeros(3))
+
+
+@pytest.mark.parametrize("name", ["two_bus", "ring", "ieee24", "ieee118", "isolated"])
+def test_jacobian_matches_dense_oracle(name, request):
+    if name in ("ring", "isolated"):
+        case = parse_case(THREE_BUS_RING if name == "ring" else ISOLATED_BUS)
+    else:
+        case = request.getfixturevalue(f"{name}_case")
+    adm = build_admittances(case)
+    plan, ybus, n = adm.newton, adm.ybus, case.n_bus
+    rng = np.random.default_rng(11)
+    starts = [np.ones(n, dtype=complex)] + [
+        (1.0 + 0.05 * rng.standard_normal(n)) * np.exp(0.2j * rng.standard_normal(n))
+        for _ in range(3)]
+    for v in starts:
+        dense = dense_jacobian(ybus, v, plan.pvpq, plan.pq)
+        assert np.array_equal(powerflow._jacobian(ybus, v, plan.pvpq, plan.pq,
+                                                  ybus @ v, plan.pattern), dense)
+        assert np.array_equal(powerflow._jacobian(ybus, v, plan.pvpq, plan.pq), dense)
+
+
+@pytest.mark.parametrize("config", ["ieee24.yaml", "ieee118.yaml"])
+def test_blocks_bit_identical_with_dense_jacobian(config, monkeypatch):
+    cfg = load_config(CONFIG_DIR / config)
+    case, plan = cfg.load_grid()
+
+    def generate():
+        state, block, _ = blocks.generate_block(case, plan, cfg.duration_s, cfg.rate_hz,
+                                                cfg.seed, policy=cfg.disturbance)
+        return state, block
+
+    state, block = generate()
+    monkeypatch.setattr(powerflow, "_jacobian",
+                        lambda ybus, v, pvpq, pq, *_: dense_jacobian(ybus, v, pvpq, pq))
+    dense_state, dense_block = generate()
+    assert state.x.tobytes() == dense_state.x.tobytes()
+    assert block.z.tobytes() == dense_block.z.tobytes()
+    assert state.iterations == dense_state.iterations
+    assert state.mismatches == dense_state.mismatches
+
+
+def test_newton_plan_built_once_per_block(ieee118_case, ieee118_plan, monkeypatch):
+    built, solves = [], []
+
+    def counting(original):
+        def build(cls, *args):
+            built.append(cls)
+            return original(*args)
+        return classmethod(build)
+
+    def solve(*args, **kwargs):
+        solves.append(kwargs["adm"])
+        return solve_ac_power_flow(*args, **kwargs)
+
+    for cls in (powerflow.NewtonPlan, powerflow.JacobianPattern):
+        monkeypatch.setattr(cls, "build", counting(cls.build))
+    monkeypatch.setattr(blocks, "solve_ac_power_flow", solve)
+    blocks.generate_block(ieee118_case, ieee118_plan, 5.0, 30.0, seed=2024)
+    assert len(solves) == 121
+    assert len(set(map(id, solves))) == 1
+    assert built == [powerflow.NewtonPlan, powerflow.JacobianPattern]
+
+
+def test_admittances_of_another_case_object_get_their_own_plan(ieee24_case):
+    pd, qd = _demands(ieee24_case)
+    adm = build_admittances(dataclasses.replace(ieee24_case))
+    sol = solve_ac_power_flow(ieee24_case, pd, qd, adm=adm)
+    assert "newton" not in vars(adm)
+    assert np.array_equal(sol.v, solve_ac_power_flow(ieee24_case, pd, qd).v)
