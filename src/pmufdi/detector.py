@@ -43,21 +43,6 @@ has. Every evaluation of T counts as one iteration, rejected ones
 included. A call that converges within 29 iterations runs plain ADMM,
 as every call on the shipped configs whose attack term vanishes does.
 
-The M-step is certified low-rank where that pays. Each solve holds one
-:class:`~pmufdi.kernels.WarmBasis`, and ``svt`` forms the range of its
-input A times the right singular basis kept from the previous M-step
-(on the first, fixed-seed complex Gaussian rows), of width the last
-kept rank plus 4, and thresholds the small projected matrix. It
-engages only where m n min(m, n) >= 2e5 for an m x n input, so the
-60 x 157 windows of the 118-bus config take it and the 60 x 41 ones of
-the 24-bus config never do. Its answer is accepted only on an exact
-certificate: with E the part of A outside that range and V_r the kept
-right vectors, every discarded singular value of A is below 1/rho, and
-||E V_r||_F <= 1e-13 ||A||_F, which bounds the distance to the
-full-SVD prox by the same amount. Otherwise the M-step is the full
-SVD, bit for bit, and reseeds the basis; the diagnostics count these
-M-steps in ``full_svds``.
-
 Before the loop runs, a duality-gap screen tries to certify the point
 (M, C) = (Zbar, 0), the paper's bypass, as optimal. The dual of the
 program is
@@ -89,6 +74,29 @@ the shipped configs at block seed 2024 it certifies 76 of the 114
 24-bus scenarios and 141 of the 144 118-bus ones. The same SVD gives
 the objective bound sum(s) and s_1, which sets the loop's penalty floor.
 
+Where the screen does not certify, the loop runs in the column space of
+Zbar. Every column of Zbar lies in W = range(Zbar). If (M, C) is
+feasible, so is (P_W M, P_W C), and neither ||M||_* nor ||C||_{1,2}
+grows under the projection, so an optimum lies in W. Every iterate stays
+there too: the M-step, the linearized C-step, the dual update and the
+Anderson mixes only combine matrices whose columns lie in W. So
+``detect`` keeps U from the screen's SVD, takes the numerical rank
+k = #{s_i > max(N, n_z) eps s_1} (numpy's ``matrix_rank`` default), runs
+the loop on the k x n_z block diag(s_1..s_k) V_k^H and lifts the answer
+back as M = U_k M~ and C = U_k C~. The data cut away has nuclear norm at
+most min(N, n_z) max(N, n_z) eps s_1, about 5e-13 s_1 on a 60 x 41
+window, and the optimal value moves by at most that much, since adding
+a matrix D to M turns a feasible point for Zbar into one for Zbar + D
+at a cost of at most ||D||_*: five orders of magnitude below tol_rel.
+The feasibility residual, the objective check and support
+identification are computed against the original Zbar. On the shipped
+configs k is 13-19 on the 24-bus windows and at most 26 on the 118-bus
+ones, against 60 rows, and the M-step's SVD shrinks with it. This is
+the reduction that low-rank representation makes in the row space of
+its data (Liu, Lin, Yan, Sun, Yu & Ma, "Robust recovery of subspace
+structures by low-rank representation", IEEE TPAMI 2013, section 4.1),
+made here in the column space.
+
 Support identification thresholds the stored column norms at a relative
 fraction of the largest norm, with an absolute floor so that an
 all-but-zero attack term yields an empty support.
@@ -107,7 +115,6 @@ from .kernels import (
     SolverDiagnostics,
     SolverError,
     SolverOptions,
-    WarmBasis,
     l12_norm,
     nuclear_norm,
     shrink_columns,
@@ -193,7 +200,9 @@ def detect(
     """Run the decomposition on *block* and identify attacked columns.
 
     Where the duality-gap screen of the module docstring certifies
-    (Zbar, 0), the ADMM does not run."""
+    (Zbar, 0), the ADMM does not run; otherwise it runs in the column
+    space of Zbar, and its answer is lifted back and checked against
+    Zbar itself."""
     if not weight > 0:
         raise ValueError(f"weight must be positive, got {weight}")
     opts = options or SolverOptions()
@@ -202,7 +211,7 @@ def detect(
     zbar = block.z
 
     g = dep.h_normalized.T                   # (n_bus, n_z)
-    _, s, vh = np.linalg.svd(zbar, full_matrices=False)
+    u, s, vh = np.linalg.svd(zbar, full_matrices=False)
     baseline = float(np.sum(s))
     gap = _screen_gap(s, vh, g, weight)
     if gap <= opts.tol_rel:
@@ -210,8 +219,11 @@ def detect(
         diag = SolverDiagnostics(0, 0.0, 0.0, _RHO, gap=gap)
         residual, objective = 0.0, baseline
     else:
-        m, c, diag = _decompose(zbar, g, weight, opts, dep.smax2, float(s[0]))
-        diag = replace(diag, gap=gap)
+        # the rank cut is numpy's matrix_rank default
+        k = int(np.count_nonzero(s > max(zbar.shape) * np.finfo(float).eps * s[0]))
+        m, c, diag = _decompose(s[:k, None] * vh[:k], g, weight, opts, dep.smax2, float(s[0]))
+        m, c = u[:, :k] @ m, u[:, :k] @ c
+        diag = replace(diag, gap=gap, rank=k)
         if diag.iterations > opts.max_iter / 2:
             log.warning("detection converged after %d of its %d-iteration budget",
                         diag.iterations, opts.max_iter)
@@ -290,10 +302,9 @@ def _decompose(
     # (image, fixed-point residual) of the point an extrapolated one came from
     base = None
     extrapolated = rejected = 0
-    warm = WarmBasis()
 
     for it in range(1, opts.max_iter + 1):
-        m = svt(b - cg - u, 1.0 / rho, warm)
+        m = svt(b - cg - u, 1.0 / rho)
         # linearized C-step: minimize weight ||C||_{1,2} plus the
         # quadratic majorizer of rho/2 ||C G - target||_F^2 at the
         # previous C, whose curvature rho * smax2 bounds the Hessian
@@ -322,7 +333,7 @@ def _decompose(
             raise SolverError("detection diverged", primal * scale, dual * scale, it)
         if primal < opts.tol_rel and dual < opts.tol_rel:
             diag = SolverDiagnostics(it, primal * scale, dual * scale, rho,
-                                     extrapolated, rejected, warm.full_svds)
+                                     extrapolated, rejected)
             return m * scale, c_new * scale, diag
         c, cg, u = c_new, cg_new, u_new
         if primal > _RESIDUAL_GAP * dual and rho * 2.0 <= _RHO_MAX:

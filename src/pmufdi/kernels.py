@@ -2,9 +2,7 @@
 
 All kernels operate on full complex matrices (the data are phasors, and
 stacking real/imaginary parts would change the nuclear norm). SVDs are
-economy-size throughout. Everything here is deterministic, and pure
-apart from the warm state that :func:`svt` may be handed (see
-:class:`WarmBasis`).
+economy-size throughout. Everything here is deterministic and pure.
 
 The module also holds the settings, error and diagnostics types of the
 package's one iterative solver, the detector's ADMM
@@ -116,19 +114,19 @@ class SolverDiagnostics:
     """Exit state of the detector's ADMM: every evaluation of its
     iteration map counts in *iterations*; *extrapolated* and *rejected*
     count the Anderson-extrapolated points the safeguard kept and
-    turned away, and *full_svds* the M-steps that ran the full SVD
-    rather than the certified subspace path of :class:`WarmBasis`.
-    *gap* is the duality-gap screen's best relative gap for the point
-    (Zbar, 0), recorded by :func:`pmufdi.detector.detect` on every call,
-    screened or not; None where no screen ran."""
+    turned away. :func:`pmufdi.detector.detect` records *gap*, the
+    duality-gap screen's best relative gap for the point (Zbar, 0), on
+    every call, screened or not, and *rank*, the number of rows of the
+    column-space block the loop ran on, on every call that ran it; each
+    is None where no screen ran or no loop ran."""
     iterations: int
     primal_residual: float
     dual_residual: float
     rho: float
     extrapolated: int = 0
     rejected: int = 0
-    full_svds: int = 0
     gap: float | None = None
+    rank: int | None = None
 
 
 def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
@@ -155,128 +153,15 @@ def _svd(m: np.ndarray):
         return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
 
 
-def svt(m: np.ndarray, tau: float, warm: WarmBasis | None = None) -> np.ndarray:
-    """Singular value soft-thresholding, the prox of tau * nuclear norm.
-
-    Without *warm* this is the exact prox, through a full SVD. With it,
-    the subspace path of :class:`WarmBasis` may answer instead, within
-    the bound stated there; where it cannot certify its answer, the
-    result is the full-SVD one, bit for bit, and seeds *warm* for the
-    next call.
-    """
+def svt(m: np.ndarray, tau: float) -> np.ndarray:
+    """Singular value soft-thresholding, the prox of tau * nuclear norm."""
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
     m = _require_finite(m, "matrix")
-    if warm is not None:
-        out = warm.threshold(m, tau)
-        if out is not None:
-            return out
-        warm.full_svds += 1
     u, s, vh = _svd(m)
     s = np.maximum(s - tau, 0.0)
     keep = s > 0
-    if warm is not None:
-        warm.reseed(vh, int(np.count_nonzero(keep)), m.shape)
     return (u[:, keep] * s[keep]) @ vh[keep]
-
-
-# The subspace path engages on an m x n input only where m n min(m, n)
-# reaches this. Replaying detector M-step inputs on a 2-core x86 host:
-# at 60 x 157 (5.65e5) it took 0.53-0.67 ms per call against 1.7-2.1 ms
-# for the full SVD; at 60 x 41 (1.0e5), forced on, it fell back on 493
-# of 933 inputs, took 0.47-0.52 ms against 0.44-0.49 ms, and moved the
-# detector iteration counts of 5 of the 114 24-bus scenarios.
-_SUBSPACE_MIN_WORK = 2e5
-# the width k of the subspace is the last kept rank plus this, capped at
-# min(m, n) / 4, past which a full SVD costs little more. In that replay,
-# oversampling by 3 failed the accuracy certificate 24 times, by 4, 5 or
-# 6 never, and 4 was the fastest
-_SUBSPACE_OVERSAMPLE = 4
-_SUBSPACE_WIDTH_SHARE = 4
-# accuracy certificate, relative to ||A||_F; where the subspace has
-# converged, ||E V_r||_F sits at rounding level
-_SUBSPACE_EPS = 1e-13
-# any fixed seed: the start rows, and hence the reports, are reproducible
-_SUBSPACE_SEED = 20170
-
-
-class WarmBasis:
-    """Warm state of :func:`svt` over the calls of one iterative solve.
-
-    It holds the right singular basis of the last input. For an input A
-    whose shape engages (see the module constants), ``svt`` forms
-    Q = orth(A V) over the k basis rows V, padded with fixed-seed complex
-    Gaussian rows where there are fewer than k (on the first call, all
-    of them), takes the SVD of the k x n matrix B = Q^H A and keeps its
-    r singular values s_i > tau. Let E = A - Q B and V_r the kept right
-    vectors. The answer is accepted only on an exact certificate:
-
-    - r < k (otherwise the subspace is too narrow to show where the
-      spectrum drops);
-    - s_(r+1)^2 + ||E||_F^2 < tau^2, which bounds every discarded
-      singular value of A below tau, since A^H A = B^H B + E^H E;
-    - ||E V_r||_F <= eps ||A||_F, with eps = 1e-13.
-
-    Under the first two, the answer is the exact prox of
-    A - E V_r V_r^H, so, the prox being nonexpansive, it lies within
-    ||E V_r||_F <= eps ||A||_F of the full-SVD ``svt(A, tau)`` in the
-    Frobenius norm, up to rounding. Otherwise ``svt`` runs the full SVD
-    and counts it in :attr:`full_svds`. Either way the basis for the
-    next call is the top r + 4 right singular vectors found. One
-    instance serves one solve, on inputs of one shape: it holds its own
-    generator, so nothing is shared between solves or threads.
-    """
-
-    def __init__(self):
-        self.basis: np.ndarray | None = None     # (j, n), orthonormal rows
-        self.width = 0                           # k for the next call
-        self.full_svds = 0                       # calls that ran the full SVD
-        self._rng = np.random.default_rng(_SUBSPACE_SEED)
-
-    @staticmethod
-    def _width(rank: int, shape: tuple[int, int]) -> int:
-        return min(rank + _SUBSPACE_OVERSAMPLE, min(shape) // _SUBSPACE_WIDTH_SHARE)
-
-    def reseed(self, vh: np.ndarray, rank: int, shape: tuple[int, int]) -> None:
-        """Take the basis for the next call from the rows of *vh*, the
-        right singular vectors of a full SVD whose kept rank is *rank*."""
-        self.width = self._width(rank, shape)
-        self.basis = vh[:self.width]
-
-    def threshold(self, a: np.ndarray, tau: float) -> np.ndarray | None:
-        """The certified subspace answer for ``svt(a, tau)``, or None
-        where the shape does not engage or a certificate fails."""
-        rows, cols = a.shape
-        if rows * cols * min(rows, cols) < _SUBSPACE_MIN_WORK:
-            return None
-        if self.basis is None:
-            self.basis = np.empty((0, cols), dtype=complex)
-            self.width = min(rows, cols) // _SUBSPACE_WIDTH_SHARE
-        k = self.width
-        if k < 1:
-            return None
-        v = self.basis
-        if v.shape[0] < k:
-            extra = (k - v.shape[0], cols)
-            v = np.vstack((v, self._rng.standard_normal(extra)
-                           + 1j * self._rng.standard_normal(extra)))
-        q = np.linalg.qr(a @ v.conj().T)[0]
-        b = q.conj().T @ a
-        ub, s, vbh = np.linalg.svd(b, full_matrices=False)
-        r = int(np.count_nonzero(s > tau))
-        if r >= k:
-            log.debug("svt: narrow subspace, %d of %d values kept", r, k)
-            return None
-        e = a - q @ b
-        if not s[r] ** 2 + np.vdot(e, e).real < tau * tau:
-            log.debug("svt: rank certificate failed")
-            return None
-        if not np.linalg.norm(e @ vbh[:r].conj().T) <= _SUBSPACE_EPS * np.linalg.norm(a):
-            log.debug("svt: accuracy certificate failed")
-            return None
-        self.width = self._width(r, a.shape)
-        self.basis = vbh[:self.width]
-        return ((q @ ub[:, :r]) * (s[:r] - tau)) @ vbh[:r]
 
 
 def shrink_columns(c: np.ndarray, kappa: float) -> np.ndarray:

@@ -95,6 +95,19 @@ def test_criterion_2_all_designed_attacks_bypass(report24, report118):
           ok, f"{n_bypassed}/{len(outcomes)} bypassed, {n_within} flagged within the set")
 
 
+@pytest.mark.parametrize("seed", [3, 13])
+def test_criteria_1_and_2_hold_at_other_block_seeds(seed, tmp_path):
+    # the first ten sets per window: half of these rows keep a nonzero
+    # attack term through the detector's loop
+    cfg = load_config(CONFIG_DIR / "ieee24.yaml", seed=seed, limit=10, out_dir=str(tmp_path))
+    rows = run_experiment(cfg).rows
+    assert len(rows) == 20
+    assert all(not r.error for r in rows)
+    assert all(r.attacked_nuclear <= r.clean_nuclear * (1 + 1e-6) for r in rows)
+    assert all(r.outcome == Outcome.BYPASSED.value for r in rows)
+    assert sum(r.detect_iterations > 0 for r in rows) == 10
+
+
 def test_criterion_3_naive_attacks_are_detected(ieee24_blocks, ieee24_plan):
     _, block, dep = ieee24_blocks
     window = block.window(31, 90)

@@ -241,6 +241,124 @@ def test_screened_rows_match_the_unscreened_solve(
         assert classify_outcome(full, (1,)) is classify_outcome(result, (1,)) is Outcome.BYPASSED
 
 
+def _full_height(block, dep, weight, options, thresholds):
+    """``detect``'s result with the loop run on all N rows of *block*,
+    without the column-space reduction."""
+    zbar, g = block.z, dep.h_normalized.T
+    m, c, diag = _decompose(zbar, g, weight, options, dep.smax2)
+    result = DetectionResult(
+        z_lowrank=m, c=c, weight=weight,
+        state_column_norms=np.linalg.norm(c, axis=0),
+        channel_column_norms=np.linalg.norm(c @ g, axis=0),
+        state_support=(), channel_support=(),
+        observed_frob=float(np.linalg.norm(zbar)),
+        feasibility_residual=float(np.linalg.norm(zbar - m - c @ g)),
+        objective=nuclear_norm(m) + weight * l12_norm(c),
+        bus_ids=dep.bus_ids, labels=dep.row_labels, diagnostics=diag)
+    state, channel = identify_support(result, thresholds)
+    return dataclasses.replace(result, state_support=state, channel_support=channel)
+
+
+def _assert_matches_full_height(block, dep, kwargs, result, injected):
+    tol = kwargs["options"].tol_rel
+    full = _full_height(block, dep, **kwargs)
+    assert result.diagnostics.rank == np.linalg.matrix_rank(block.z) < block.n_steps
+    assert result.state_support == full.state_support
+    assert result.channel_support == full.channel_support
+    assert classify_outcome(result, injected) is classify_outcome(full, injected)
+    assert result.objective == pytest.approx(full.objective, rel=tol)
+    # the lifted point, checked against the original block
+    zbar = block.z
+    lifted = float(np.linalg.norm(zbar - result.z_lowrank - result.c @ dep.h_normalized.T))
+    assert lifted == result.feasibility_residual
+    assert lifted <= tol * np.linalg.norm(zbar) * (1 + 1e-6)
+
+
+def test_column_space_solve_matches_the_full_height_solve(detect_calls, tmp_path):
+    cfg = load_config(CONFIG_DIR / "ieee24.yaml", out_dir=str(tmp_path))
+    solved = [call for call in detect_calls(cfg) if call[3].diagnostics.iterations]
+    assert len(solved) == 38
+    for block, dep, kwargs, result in solved:
+        # every designed attack set reads alike once both supports agree
+        _assert_matches_full_height(block, dep, kwargs, result, None)
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_column_space_solve_matches_the_full_height_solve_on_naive_ramps(seed):
+    ramps, dep, cfg = _naive_ramps(seed)
+    kwargs = dict(weight=cfg.weight, options=cfg.solver, thresholds=cfg.thresholds)
+    for bus, attacked in ramps:
+        result = detect(attacked, dep, **kwargs)
+        _assert_matches_full_height(attacked, dep, kwargs, result, (bus,))
+
+
+def test_m_step_runs_on_the_column_space(detect_calls, monkeypatch, tmp_path):
+    # every svt input has rank(Zbar) <= n_states rows, not the window's 60
+    shapes = []
+    threshold = pmufdi.detector.svt
+
+    def recording(m, tau):
+        shapes.append(m.shape)
+        return threshold(m, tau)
+
+    monkeypatch.setattr(pmufdi.detector, "svt", recording)
+    calls = detect_calls(load_config(CONFIG_DIR / "ieee24.yaml", limit=3,
+                                     out_dir=str(tmp_path)))
+    expected = []
+    for block, dep, _, result in calls:
+        if result.diagnostics.iterations:
+            k = result.diagnostics.rank
+            assert k == np.linalg.matrix_rank(block.z) <= dep.n_states < block.n_steps
+            expected += [(k, dep.n_measurements)] * result.diagnostics.iterations
+        else:
+            assert result.diagnostics.rank is None
+    assert expected and shapes == expected
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(10, 60), rank=st.integers(1, 6),
+       attacked=st.integers(1, 3), pad=st.integers(1, 30),
+       magnitude=st.sampled_from([1e-3, 1.0, 1e3]))
+@settings(max_examples=20)
+def test_column_space_solve_ignores_zero_rows_and_row_rotations(
+        ieee24_blocks, seed, rows, rank, attacked, pad, magnitude):
+    # a block of exact rank at most 9: a low-rank part whose singular
+    # values spread over twelve decades, plus a few attacked states. The
+    # program sees Zbar only through Zbar^H Zbar, so zero rows and a
+    # unitary turn of the rows leave the supports and the optimal value
+    # as they are
+    _, block, dep = ieee24_blocks
+    window = block.window(31, 90)
+    g = dep.h_normalized.T
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def orthonormal(n, k):
+        return np.linalg.qr(gaussian(n, k))[0]
+
+    values = 10.0 ** -np.sort(np.append(0.0, rng.uniform(0.0, 12.0, rank - 1)))
+    low = (orthonormal(rows, rank) * values) @ orthonormal(g.shape[1], rank).conj().T
+    attack = np.zeros((rows, g.shape[0]), dtype=complex)
+    attack[:, rng.choice(g.shape[0], attacked, replace=False)] = gaussian(rows, attacked)
+    zbar = magnitude * (low + 0.3 * attack @ g)
+    padded = np.vstack((zbar, np.zeros((pad, zbar.shape[1]))))
+    turned = orthonormal(rows, rows) @ zbar
+    result, *others = (detect(dataclasses.replace(window, z=z), dep)
+                       for z in (zbar, padded, turned))
+    for other in others:
+        assert other.state_support == result.state_support
+        assert other.channel_support == result.channel_support
+        assert other.objective == pytest.approx(result.objective, rel=SolverOptions().tol_rel)
+    k = np.linalg.matrix_rank(zbar)
+    if result.diagnostics.iterations:
+        assert result.diagnostics.rank == k
+    # M and C lie in range(Zbar)
+    u = np.linalg.svd(zbar)[0][:, :k]
+    for part in (result.z_lowrank, result.c):
+        assert np.linalg.norm(part - u @ (u.conj().T @ part)) <= 1e-12 * np.linalg.norm(zbar)
+
+
 def _dual_gap_by_rank(zbar, g, weight):
     """Relative gaps of (Zbar, 0) against the explicit dual points
     Y_r = U_r V_r^H / max(1, kappa_r), each checked dual feasible."""
@@ -296,10 +414,10 @@ def test_screen_gap_matches_the_dual(seed, rows, cols, states, rank, weight, mag
                                 rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("seed", [2024, 7])
-def test_naive_ramps_are_never_screened(seed):
-    # the ramps of the benchmark's naive workload (perfbench/naive.py):
-    # every voltage-measured bus on both shipped windows
+def _naive_ramps(seed):
+    """The 18 ramps of the benchmark's naive workload (perfbench/naive.py)
+    at *seed*, every voltage-measured bus on both shipped windows, as
+    (bus, attacked block) pairs; with the dependency matrix and config."""
     cfg = load_config(CONFIG_DIR / "ieee24.yaml")
     case, plan = cfg.load_grid()
     _, block, dep = generate_block(case, plan, cfg.duration_s, cfg.rate_hz, cfg.seed,
@@ -307,12 +425,19 @@ def test_naive_ramps_are_never_screened(seed):
     windows = [block.window(first, last) for first, last in cfg.windows]
     buses = np.random.default_rng(seed).permutation(plan.voltage_buses)
     rng = np.random.default_rng(seed)
-    gaps = []
+    ramps = []
     for bus in buses:
         for window in windows:
             _, attacked = naive_ramp_attack(window, dep, (int(bus),), scale=cfg.naive_scale,
                                             seed=int(rng.integers(0, 2**31)))
-            gaps.append(_screen(attacked.z, dep.h_normalized.T, cfg.weight))
+            ramps.append((int(bus), attacked))
+    return ramps, dep, cfg
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_naive_ramps_are_never_screened(seed):
+    ramps, dep, cfg = _naive_ramps(seed)
+    gaps = [_screen(attacked.z, dep.h_normalized.T, cfg.weight) for _, attacked in ramps]
     assert len(gaps) == 18
     assert min(gaps) >= 1e-3
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pmufdi import experiment, kernels
-from pmufdi.detector import Outcome, _decompose
+from pmufdi.detector import Outcome
 from pmufdi.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -337,31 +337,11 @@ def test_worker_pool_matches_serial(tmp_path):
     assert serial == threaded
 
 
-def test_worker_pool_matches_serial_on_the_subspace_path(tmp_path):
-    # the 118-bus windows take the detector's subspace svt, whose warm
-    # state lives in each detection, so threads share none of it
+def test_worker_pool_matches_serial_on_118_bus(tmp_path):
     cfg = load_config(CONFIG_DIR / "ieee118.yaml", limit=2, out_dir=str(tmp_path))
     serial = run_experiment(dataclasses.replace(cfg, workers=1))
     threaded = run_experiment(dataclasses.replace(cfg, workers=4))
     assert serial == threaded
-
-
-def test_full_svds_counted_per_detection(detect_calls, tmp_path):
-    # the 60 x 41 windows of the 24-bus config never engage the subspace
-    # path; the 60 x 157 ones of the 118-bus config nearly always do
-    small = [call[3].diagnostics for call in detect_calls(
-        load_config(CONFIG_DIR / "ieee24.yaml", limit=3, out_dir=str(tmp_path)))]
-    assert any(d.iterations for d in small)
-    assert all(d.full_svds == d.iterations for d in small)
-    # the duality-gap screen certifies all 24 of these 118-bus detections
-    # without a loop, so the loop runs here on their attacked blocks
-    wide = detect_calls(load_config(CONFIG_DIR / "ieee118.yaml", limit=12,
-                                    out_dir=str(tmp_path)))
-    assert len(wide) == 24
-    solved = [_decompose(block.z, dep.h_normalized.T, kwargs["weight"],
-                         kwargs["options"], dep.smax2)[2]
-              for block, dep, kwargs, _ in wide]
-    assert sum(d.full_svds for d in solved) <= 0.1 * sum(d.iterations for d in solved)
 
 
 def test_experiment_does_not_import_scipy_linalg(tmp_path):

@@ -1,16 +1,12 @@
-import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given
-from hypothesis import strategies as st
 
 from pmufdi import kernels
 from pmufdi.kernels import (
     SolverOptions,
-    WarmBasis,
     l12_norm,
     nuclear_norm,
     shrink_columns,
@@ -114,66 +110,6 @@ def test_svt_falls_back_to_gesvd(monkeypatch):
     # scipy.linalg, imported by the fallback, runs on the pinned library
     _, get_threads = kernels._openblas(scipy, "libscipy_openblas-*.so", "")
     assert get_threads() == 1
-
-
-# --- certified subspace svt --------------------------------------------------
-
-def with_spectrum(rng, shape, values):
-    """A complex matrix with singular values *values* and random vectors."""
-    u = np.linalg.qr(random_complex(rng, (shape[0], len(values))))[0]
-    v = np.linalg.qr(random_complex(rng, (shape[1], len(values))))[0]
-    return (u * np.asarray(values)) @ v.conj().T
-
-
-@given(seed=st.integers(0, 2**32 - 1),
-       shape=st.sampled_from([(60, 157), (40, 130), (157, 60)]),
-       rank=st.integers(0, 8), ratio=st.floats(0.05, 0.7),
-       tail=st.sampled_from([0.0, 1e-9]), cut=st.integers(0, 8),
-       warm_start=st.sampled_from(["fixed-seed", "previous"]))
-def test_warm_svt_matches_full_svt(seed, shape, rank, ratio, tail, cut, warm_start):
-    # engaged shapes and a rank below the subspace width: within the
-    # documented bound of the exact prox, and the path answers wherever
-    # the input is exactly low rank
-    rng = np.random.default_rng(seed)
-    values = 10.0 * ratio ** np.arange(rank)
-    a = with_spectrum(rng, shape, values) + random_complex(rng, shape, scale=tail)
-    cut = min(cut, rank)
-    tau = float(np.sqrt(values[cut - 1] * values[cut])) if 0 < cut < rank \
-        else (20.0 if cut == 0 else values[-1] / 2)
-    warm = WarmBasis()
-    if warm_start == "previous":
-        svt(a + random_complex(rng, shape, scale=1e-3 * np.linalg.norm(a) / 157), tau, warm)
-    full_svds = warm.full_svds
-    got = svt(a, tau, warm)
-    if tail == 0.0:
-        assert warm.full_svds == full_svds
-    bound = (kernels._SUBSPACE_EPS + 1e-14) * np.linalg.norm(a)
-    assert np.linalg.norm(got - svt(a, tau)) <= bound
-    v = warm.basis
-    assert np.linalg.norm(v @ v.conj().T - np.eye(v.shape[0])) <= 1e-12
-
-
-@pytest.mark.parametrize("values, tau, reason", [
-    # 20 singular values above tau fill the 15-wide start subspace
-    ([1.0] * 20, 0.5, "narrow subspace"),
-    # 40 values just under tau leave too much mass outside the subspace
-    ([10.0, 10.0] + [0.4] * 40, 1.0, "rank certificate"),
-    # a tail that the unrefined start subspace does not resolve
-    ([1.0] * 3 + [1e-3] * 40, 0.1, "accuracy certificate"),
-    # 60 x 41 does not engage, so there is nothing to log
-    ([1.0] * 3, 0.1, None),
-], ids=["narrow", "rank", "accuracy", "small-shape"])
-def test_warm_svt_falls_back_to_full_svd(values, tau, reason, caplog):
-    shape = (60, 41) if reason is None else (60, 157)
-    a = with_spectrum(np.random.default_rng(11), shape, values)
-    warm = WarmBasis()
-    with caplog.at_level(logging.DEBUG, logger="pmufdi.kernels"):
-        got = svt(a, tau, warm)
-    assert np.array_equal(got, svt(a, tau))
-    assert warm.full_svds == 1
-    messages = [r.getMessage() for r in caplog.records]
-    assert len(messages) == (reason is not None)
-    assert all(reason in message for message in messages)
 
 
 # --- column shrinkage -------------------------------------------------------
