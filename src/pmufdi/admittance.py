@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cases import CaseError, GridCase
+from .cases import GridCase
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,7 @@ def build_admittances(case: GridCase) -> AdmittanceSet:
     yt = np.zeros((m, n), dtype=complex)
 
     for k, br in enumerate(case.branches):
-        z = complex(br.r, br.x)
-        if abs(z) == 0.0:
-            raise CaseError(f"branch {br.id}: zero series impedance")
-        ys = 1.0 / z
+        ys = 1.0 / complex(br.r, br.x)    # nonzero: GridCase checks
         tap = br.tap if br.tap != 0.0 else 1.0
         t = tap * np.exp(1j * np.deg2rad(br.shift_deg))
         half_b = 1j * br.b / 2.0

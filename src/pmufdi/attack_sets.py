@@ -7,10 +7,19 @@ state shift then land on load buses, where they pass as plausible demand.
 The measurement set J collects every dependency-matrix row with a nonzero
 entry on some bus of I; those are exactly the measurements the attack can
 touch.
+
+The enumerator grows the connected sets level by level: the sets of
+k + 1 buses are those of k buses, each with one neighbour added, kept as
+frozensets so that a set reached from several sides counts once. Every
+connected set up to the size bound is validated once, and the admissible
+ones are returned sorted. The size bound must be an integer of at least
+1; a bool or a fraction is refused, since a fraction would grow the sets
+to the whole grid.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +54,10 @@ def validate_attack_set(
     attacked = tuple(sorted(set(int(b) for b in attacked_buses)))
     if not attacked:
         raise ValueError("attacked-state set must be nonempty")
-    for b in attacked:
-        case.bus_index(b)
-
     inner = set(attacked)
     boundary = set()
     for b in attacked:
-        boundary |= case.neighbors(b)
+        boundary |= case.neighbors(b)    # raises CaseError on an unknown bus
     boundary -= inner
     subgraph = inner | boundary
 
@@ -71,34 +77,13 @@ def validate_attack_set(
     )
 
 
-def _connected_subsets(adjacency: dict[int, frozenset[int]], max_size: int):
-    """All connected vertex subsets of size 1..max_size, each exactly once.
-
-    Grows each subset from its smallest admissible anchor, only ever adding
-    vertices not excluded at the current branch, which yields every
-    connected subset once without a global dedup pass.
-    """
-    nodes = sorted(adjacency)
-    results = []
-
-    def grow(current: set[int], frontier: set[int], banned: set[int]):
-        if len(current) >= 1:
-            results.append(tuple(sorted(current)))
-        if len(current) == max_size:
-            return
-        candidates = sorted(frontier - banned)
-        local_ban = set(banned)
-        for v in candidates:
-            grow(
-                current | {v},
-                (frontier | adjacency[v]) - current - {v},
-                set(local_ban),
-            )
-            local_ban.add(v)
-
-    for anchor in nodes:
-        grow({anchor}, set(adjacency[anchor]), {n for n in nodes if n <= anchor})
-    return results
+def _connected_subsets(case: GridCase, max_size: int):
+    """Every connected bus set of 1..*max_size* buses, each once."""
+    level = {frozenset([bus.id]) for bus in case.buses}
+    for _ in range(max_size - 1):
+        yield from level
+        level = {s | {n} for s in level for v in s for n in case.neighbors(v) - s}
+    yield from level
 
 
 def enumerate_attack_sets(
@@ -106,12 +91,13 @@ def enumerate_attack_sets(
 ) -> list[AttackSetValidation]:
     """All connected attacked-state sets with 1 <= |I| <= *max_size* that pass
     :func:`validate_attack_set`, in lexicographic order of the sorted bus ids.
+    A *max_size* that is not an integer of at least 1 raises ValueError.
     """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    adjacency = {b.id: case.neighbors(b.id) for b in case.buses}
+    if isinstance(max_size, bool) or not isinstance(max_size, numbers.Integral) \
+            or max_size < 1:
+        raise ValueError(f"max_size must be an integer >= 1, got {max_size!r}")
     valid = []
-    for subset in _connected_subsets(adjacency, max_size):
+    for subset in _connected_subsets(case, max_size):
         check = validate_attack_set(case, dep, subset)
         if check.valid:
             valid.append(check)

@@ -115,6 +115,24 @@ def disturbance_onset(rate_hz: float) -> int:
     return int(round(rate_hz)) + 1
 
 
+def sample_count(duration_s: float, rate_hz: float) -> int:
+    """The number of samples in *duration_s* seconds at *rate_hz*. Both
+    must be positive, their product a whole number, and the samples must
+    reach the disturbance onset; otherwise ValueError names the cause."""
+    for key, value in (("duration_s", duration_s), ("rate_hz", rate_hz)):
+        if not value > 0:
+            raise ValueError(f"{key} must be positive, got {value!r}")
+    steps = duration_s * rate_hz
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+        raise ValueError(f"duration_s * rate_hz must be an integer, got {steps}")
+    n_steps = int(round(steps))
+    onset = disturbance_onset(rate_hz)
+    if n_steps < onset:
+        raise ValueError(f"duration_s={duration_s!r} at rate_hz={rate_hz!r} gives {n_steps} "
+                         f"samples, which end before the disturbance onset at sample {onset}")
+    return n_steps
+
+
 def generate_block(
     case: GridCase,
     plan: PmuPlan,
@@ -128,19 +146,11 @@ def generate_block(
     The disturbance starts at the first instant after one second. The
     first instant is solved from a flat start and each later instant
     warm-starts from the previous solution. Power-flow failures propagate
-    with the offending instant attached.
+    with the offending instant attached; a bad duration or rate raises
+    the ValueError of :func:`sample_count`.
     """
-    if not (duration_s > 0 and rate_hz > 0):
-        raise ValueError(f"duration and rate must be positive, got {duration_s!r} s "
-                         f"at {rate_hz!r} Hz")
-    steps = duration_s * rate_hz
-    n_steps = int(round(steps))
-    if abs(steps - n_steps) > 1e-9 or n_steps < 1:
-        raise ValueError(f"duration*rate must be a positive integer, got {steps}")
+    n_steps = sample_count(duration_s, rate_hz)
     onset = disturbance_onset(rate_hz)
-    if n_steps < onset:
-        raise ValueError(f"duration_s={duration_s!r} at rate_hz={rate_hz!r} gives {n_steps} "
-                         f"samples, which end before the disturbance onset at sample {onset}")
     dep = build_measurement_matrix(case, plan)
     adm = build_admittances(case)
     traj = perturb_loads(case, n_steps, onset, seed, policy)

@@ -114,17 +114,12 @@ class GridCase:
     @property
     def load_bus_ids(self) -> frozenset[int]:
         """Buses with nonzero active or reactive base demand."""
-        return frozenset(b.id for b in self.buses if b.has_load)
+        return self._load_bus_ids
 
     def neighbors(self, bus_id: int) -> frozenset[int]:
+        """Buses joined to *bus_id* by a branch."""
         self.bus_index(bus_id)
-        out = set()
-        for br in self.branches:
-            if br.from_bus == bus_id:
-                out.add(br.to_bus)
-            elif br.to_bus == bus_id:
-                out.add(br.from_bus)
-        return frozenset(out)
+        return self._adjacency[bus_id]
 
     def __post_init__(self):
         index = {}
@@ -140,6 +135,7 @@ class GridCase:
         for bus in self.buses:
             if bus.type not in (PQ, PV, SLACK):
                 raise CaseError(f"bus {bus.id}: unsupported type code {bus.type}")
+        adjacency = {bus.id: set() for bus in self.buses}
         for br in self.branches:
             for end in (br.from_bus, br.to_bus):
                 if end not in index:
@@ -149,6 +145,12 @@ class GridCase:
                     )
             if abs(complex(br.r, br.x)) == 0.0:
                 raise CaseError(f"branch {br.id}: zero series impedance")
+            adjacency[br.from_bus].add(br.to_bus)
+            adjacency[br.to_bus].add(br.from_bus)
+        object.__setattr__(self, "_adjacency",
+                           {bus: frozenset(ends) for bus, ends in adjacency.items()})
+        object.__setattr__(self, "_load_bus_ids",
+                           frozenset(b.id for b in self.buses if b.has_load))
         for gen in self.generators:
             if gen.bus not in index:
                 raise CaseError(f"generator references missing bus {gen.bus}")

@@ -139,10 +139,8 @@ _ANDERSON_REACH = 30.0
 # starting penalty; the data are normalized to unit Frobenius norm, so it
 # refers to the normalized problem
 _RHO = 1.0
-# range the adapted penalty stays in: an uncontrolled downward run feeds
-# back through the scaled dual variable and blows the iterates up, while
-# too low a ceiling leaves residuals parked just above tolerance
-_RHO_MIN = _RHO / 1024.0
+# ceiling of the adapted penalty: too low a ceiling leaves residuals
+# parked just above tolerance; the floor depends on the data (_decompose)
 _RHO_MAX = _RHO * 2.0 ** 20
 
 
@@ -270,15 +268,14 @@ def _screen_gap(s: np.ndarray, vh: np.ndarray, g: np.ndarray, weight: float) -> 
 
 def _decompose(
     zbar: np.ndarray, g: np.ndarray, weight: float, opts: SolverOptions,
-    smax2: float | None = None, smax: float | None = None,
+    smax2: float, smax: float,
 ) -> tuple[np.ndarray, np.ndarray, SolverDiagnostics]:
     """Solve the program by the ADMM of the module docstring.
 
-    *smax2* is smax(G)^2 and *smax* is smax(Zbar), each computed here
-    when not given. Returns (M, C, diagnostics); the residuals in the
-    diagnostics, and in a raised :class:`SolverError`, are in data
-    units. *zbar* must be nonzero; ``detect``'s screen certifies zero
-    data before the loop.
+    *smax2* is smax(G)^2 and *smax* is smax(Zbar). Returns (M, C,
+    diagnostics); the residuals in the diagnostics, and in a raised
+    :class:`SolverError`, are in data units. *zbar* must be nonzero;
+    ``detect``'s screen certifies zero data before the loop.
     """
     c = np.zeros((zbar.shape[0], g.shape[0]), dtype=complex)
     scale = float(np.linalg.norm(zbar))
@@ -286,14 +283,13 @@ def _decompose(
     # unit-Frobenius data; this keeps the penalty scale data-independent
     b = zbar / scale
     gh = g.conj().T
-    if smax2 is None:
-        smax2 = float(np.linalg.svd(g, compute_uv=False)[0] ** 2)
     rho = _RHO
-    # never let the threshold 1/rho reach sigma_1, or the svt step would
-    # annihilate the low-rank iterate and the iteration stalls
-    if smax is None:
-        smax = float(np.linalg.svd(zbar, compute_uv=False)[0])
-    lo = max(_RHO_MIN, 1.5 * scale / smax)
+    # halve the penalty no lower than 1.5 / sigma_1(b), which is at least
+    # 1.5 as ||b||_F = 1: the threshold 1/rho never reaches sigma_1, or the
+    # svt step would annihilate the low-rank iterate and the iteration
+    # stall, and no downward run feeds back through the scaled dual
+    # variable to blow the iterates up
+    lo = 1.5 * scale / smax
 
     cg = np.zeros_like(b)                    # C G
     u = np.zeros_like(b)

@@ -30,7 +30,7 @@ import yaml
 from . import __version__ as _version
 from .attack import design_attack, naive_ramp_attack
 from .attack_sets import enumerate_attack_sets
-from .blocks import MeasurementBlock, disturbance_onset, generate_block, singular_spectrum
+from .blocks import MeasurementBlock, generate_block, sample_count, singular_spectrum
 from .cases import GridCase, load_case
 from .detector import ThresholdPolicy, classify_outcome, detect
 from .kernels import BLAS_THREADS, SolverOptions, nuclear_norm
@@ -113,17 +113,10 @@ class ExperimentConfig:
             raise ConfigError("exactly one of system/case_path must be set")
         if self.system is not None and self.system not in system_names():
             raise ConfigError(f"unknown bundled system {self.system!r}")
-        for key in ("duration_s", "rate_hz"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)!r}")
-        total = self.duration_s * self.rate_hz
-        n_total = round(total)
-        if abs(total - n_total) > 1e-9 or n_total < 1:
-            raise ConfigError("duration_s * rate_hz must be a positive integer")
-        onset = disturbance_onset(self.rate_hz)
-        if n_total < onset:
-            raise ConfigError(f"duration_s must leave a sample after the 1 s disturbance "
-                              f"onset: {n_total} samples end before sample {onset}")
+        try:
+            n_total = sample_count(self.duration_s, self.rate_hz)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.windows:
             raise ConfigError("windows must list at least one window")
         for a, b in self.windows:

@@ -55,47 +55,10 @@ class PowerFlowSolution:
 
 
 @dataclass(frozen=True)
-class JacobianPattern:
-    """Where the Jacobian for one Ybus and one split of the buses into
-    [va[pvpq], vm[pq]] can be nonzero."""
-
-    rows: np.ndarray         # bus pairs (rows[p], cols[p]): the nonzeros of
-    cols: np.ndarray         # Ybus plus its whole diagonal, row-major
-    y: np.ndarray            # Ybus[rows, cols]
-    diag: np.ndarray         # position of (i, i) in the pattern, for each bus i
-    src: np.ndarray          # entries of [dS/dVa, dS/dVm] on the pattern, as floats
-    dst: np.ndarray          # ... and where each lands in the flattened Jacobian
-    size: int                # pvpq.size + pq.size
-
-    @classmethod
-    def build(cls, ybus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray) -> JacobianPattern:
-        n = ybus.shape[0]
-        mask = ybus != 0
-        np.fill_diagonal(mask, True)
-        rows, cols = np.nonzero(mask)
-        nnz = rows.size
-        size = pvpq.size + pq.size
-        # Jacobian row (column) of each bus's P (va) and Q (vm); -1 if none
-        p_of = np.full(n, -1)
-        p_of[pvpq] = np.arange(pvpq.size)
-        q_of = np.full(n, -1)
-        q_of[pq] = pvpq.size + np.arange(pq.size)
-        # the float view of [dS/dVa, dS/dVm] interleaves real and imaginary parts
-        src, dst = [], []
-        for first, row_of, col_of in ((0, p_of, p_of), (2 * nnz, p_of, q_of),
-                                      (1, q_of, p_of), (2 * nnz + 1, q_of, q_of)):
-            r, c = row_of[rows], col_of[cols]
-            keep = np.flatnonzero((r >= 0) & (c >= 0))
-            src.append(first + 2 * keep)
-            dst.append(r[keep] * size + c[keep])
-        return cls(rows=rows, cols=cols, y=ybus[rows, cols],
-                   diag=np.flatnonzero(rows == cols),
-                   src=np.concatenate(src), dst=np.concatenate(dst), size=size)
-
-
-@dataclass(frozen=True)
 class NewtonPlan:
-    """What a solve needs of the case and its Ybus, the same at every instant."""
+    """What a solve needs of the case and its Ybus, the same at every
+    instant: the bus split, the pinned values, the injections, and where
+    the Jacobian over [va[pvpq], vm[pq]] can be nonzero."""
 
     pq: np.ndarray
     pvpq: np.ndarray
@@ -105,7 +68,13 @@ class NewtonPlan:
     vm_fixed: np.ndarray     # ... and their setpoints
     gen_bus: np.ndarray      # generator buses, in generator order
     gen_s: np.ndarray        # ... and their complex injections, p.u.
-    pattern: JacobianPattern
+    rows: np.ndarray         # bus pairs (rows[p], cols[p]): the nonzeros of
+    cols: np.ndarray         # Ybus plus its whole diagonal, row-major
+    y: np.ndarray            # Ybus[rows, cols]
+    diag: np.ndarray         # position of (i, i) in the pattern, for each bus i
+    src: np.ndarray          # entries of [dS/dVa, dS/dVm] on the pattern, as floats
+    dst: np.ndarray          # ... and where each lands in the flattened Jacobian
+    size: int                # pvpq.size + pq.size
 
     @classmethod
     def build(cls, case: GridCase, ybus: np.ndarray) -> NewtonPlan:
@@ -114,13 +83,33 @@ class NewtonPlan:
         pvpq = np.flatnonzero(types != SLACK)
         slack = int(np.flatnonzero(types == SLACK)[0])
         fixed = types != PQ
+        mask = ybus != 0
+        np.fill_diagonal(mask, True)
+        rows, cols = np.nonzero(mask)
+        nnz = rows.size
+        size = pvpq.size + pq.size
+        # Jacobian row (column) of each bus's P (va) and Q (vm); -1 if none
+        p_of = np.full(case.n_bus, -1)
+        p_of[pvpq] = np.arange(pvpq.size)
+        q_of = np.full(case.n_bus, -1)
+        q_of[pq] = pvpq.size + np.arange(pq.size)
+        # the float view of [dS/dVa, dS/dVm] interleaves real and imaginary parts
+        src, dst = [], []
+        for first, row_of, col_of in ((0, p_of, p_of), (2 * nnz, p_of, q_of),
+                                      (1, q_of, p_of), (2 * nnz + 1, q_of, q_of)):
+            r, c = row_of[rows], col_of[cols]
+            keep = np.flatnonzero((r >= 0) & (c >= 0))
+            src.append(first + 2 * keep)
+            dst.append(r[keep] * size + c[keep])
         return cls(
             pq=pq, pvpq=pvpq, slack=slack,
             va_slack=np.deg2rad(case.buses[slack].va_deg),
             fixed=fixed, vm_fixed=_voltage_setpoints(case)[fixed],
             gen_bus=np.array([case.bus_index(g.bus) for g in case.generators], dtype=int),
             gen_s=np.array([g.pg + 1j * g.qg for g in case.generators], dtype=complex),
-            pattern=JacobianPattern.build(ybus, pvpq, pq),
+            rows=rows, cols=cols, y=ybus[rows, cols],
+            diag=np.flatnonzero(rows == cols),
+            src=np.concatenate(src), dst=np.concatenate(dst), size=size,
         )
 
 
@@ -134,31 +123,22 @@ def _voltage_setpoints(case: GridCase) -> np.ndarray:
     return vm
 
 
-def _jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: np.ndarray, pq: np.ndarray,
-              ibus: np.ndarray | None = None,
-              pattern: JacobianPattern | None = None) -> np.ndarray:
-    """Real Jacobian of the mismatch with respect to va[pvpq] and vm[pq].
-
-    *ibus* = Ybus v and *pattern* (built from *ybus*, *pvpq* and *pq*)
-    are computed here unless the caller already has them.
-    """
-    if pattern is None:
-        pattern = JacobianPattern.build(ybus, pvpq, pq)
-    if ibus is None:
-        ibus = ybus @ v
-    rows, nnz = pattern.rows, pattern.rows.size
+def _jacobian(plan: NewtonPlan, v: np.ndarray, ibus: np.ndarray) -> np.ndarray:
+    """Real Jacobian of the mismatch with respect to va[pvpq] and vm[pq],
+    at voltages *v* with bus currents *ibus* = Ybus v."""
+    rows, nnz = plan.rows, plan.rows.size
     v_row = v[rows]
     vnorm = v / np.abs(v)
     # the dense diag(.) terms, zero off the diagonal as there
     on_diag = np.zeros(nnz, dtype=complex)
-    on_diag[pattern.diag] = ibus
+    on_diag[plan.diag] = ibus
     ds = np.empty(2 * nnz, dtype=complex)
-    ds[:nnz] = 1j * v_row * np.conj(on_diag - pattern.y * v[pattern.cols])
-    on_diag[pattern.diag] = np.conj(ibus) * vnorm
-    ds[nnz:] = v_row * np.conj(pattern.y * vnorm[pattern.cols]) + on_diag
-    jac = np.zeros(pattern.size * pattern.size)
-    jac[pattern.dst] = ds.view(float)[pattern.src]
-    return jac.reshape(pattern.size, pattern.size)
+    ds[:nnz] = 1j * v_row * np.conj(on_diag - plan.y * v[plan.cols])
+    on_diag[plan.diag] = np.conj(ibus) * vnorm
+    ds[nnz:] = v_row * np.conj(plan.y * vnorm[plan.cols]) + on_diag
+    jac = np.zeros(plan.size * plan.size)
+    jac[plan.dst] = ds.view(float)[plan.src]
+    return jac.reshape(plan.size, plan.size)
 
 
 def solve_ac_power_flow(
@@ -210,7 +190,7 @@ def solve_ac_power_flow(
         if iterations >= _MAX_ITER:
             raise PowerFlowError("power flow did not converge", worst, iterations)
         try:
-            dx = np.linalg.solve(_jacobian(ybus, v, pvpq, pq, ibus, plan.pattern), -f)
+            dx = np.linalg.solve(_jacobian(plan, v, ibus), -f)
         except np.linalg.LinAlgError:
             raise PowerFlowError("singular power-flow Jacobian", worst, iterations) from None
         va[pvpq] += dx[: pvpq.size]

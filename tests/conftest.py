@@ -113,6 +113,10 @@ mpc.branch = [
 # same network with no demand anywhere: no admissible attacked set exists
 TWO_BUS_NO_LOAD_CASE = TWO_BUS_CASE.replace("2 1 50 20", "2 1 0 0")
 
+# same network with its one line doubled
+PARALLEL_BRANCH_CASE = TWO_BUS_CASE.replace("    1 2 0.01 0.1 0 0 0 0 0 0 1;\n",
+                                            "    1 2 0.01 0.1 0 0 0 0 0 0 1;\n" * 2)
+
 
 @pytest.fixture(scope="session")
 def two_bus_case():
@@ -122,3 +126,8 @@ def two_bus_case():
 @pytest.fixture(scope="session")
 def two_bus_no_load_case():
     return pmufdi.parse_case(TWO_BUS_NO_LOAD_CASE)
+
+
+@pytest.fixture(scope="session")
+def parallel_branch_case():
+    return pmufdi.parse_case(PARALLEL_BRANCH_CASE)

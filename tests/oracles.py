@@ -81,6 +81,12 @@ def dense_jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: np.ndarray,
     ])
 
 
+def branch_neighbors(branches, bus_id: int) -> set[int]:
+    """Buses sharing a branch with *bus_id*, by a scan of every branch."""
+    return {br.to_bus if br.from_bus == bus_id else br.from_bus
+            for br in branches if bus_id in (br.from_bus, br.to_bus)}
+
+
 def bfs_connected(bus_ids, branches) -> bool:
     """Whether *bus_ids* induces a connected subgraph of the branch list."""
     nodes = set(bus_ids)

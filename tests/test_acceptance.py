@@ -232,7 +232,8 @@ def test_criterion_7_numerical_kernels(ieee24_blocks, ieee118_blocks):
     if abs(attack_obj - attack_ref) > 1e-4 * max(1.0, attack_ref):
         failures.append(f"attack objective {attack_obj:.6f} vs reference {attack_ref:.6f}")
 
-    m, c, _ = _decompose(z, g, 1.05, SolverOptions())
+    m, c, _ = _decompose(z, g, 1.05, SolverOptions(),
+                         np.linalg.norm(g, 2) ** 2, np.linalg.norm(z, 2))
     detect_obj = nuclear_norm(m) + 1.05 * l12_norm(c)
     detect_ref = subgradient_detector_reference(z, g, 1.05)
     if abs(detect_obj - detect_ref) > 1e-3 * max(1.0, detect_ref):

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pmufdi.attack_sets import enumerate_attack_sets, measurement_support, validate_attack_set
 from pmufdi.measurements import PmuPlan, build_measurement_matrix
 
-from oracles import bfs_connected
+from oracles import bfs_connected, branch_neighbors
 
 
 def test_bus8_singleton_is_admissible(ieee24_case, ieee24_dep):
@@ -77,8 +79,33 @@ def test_no_admissible_set_in_unloaded_network(two_bus_no_load_case):
 
 
 def test_enumerate_requires_positive_size(ieee24_case, ieee24_dep):
-    with pytest.raises(ValueError):
-        enumerate_attack_sets(ieee24_case, ieee24_dep, 0)
+    # a fraction never equals a set's size, so it would grow sets to the whole grid
+    for size in (0, True, 1.0, "2", None, 2.5):
+        with pytest.raises(ValueError, match="max_size"):
+            enumerate_attack_sets(ieee24_case, ieee24_dep, size)
+    assert enumerate_attack_sets(ieee24_case, ieee24_dep, np.int64(2)) \
+        == enumerate_attack_sets(ieee24_case, ieee24_dep, 2)
+
+
+@pytest.mark.parametrize("name, size", [("ieee24", 3), ("ieee118", 2), ("parallel_branch", 2)])
+def test_enumerator_is_complete(name, size, request):
+    case = request.getfixturevalue(f"{name}_case")
+    dep = (build_measurement_matrix(case, PmuPlan((1,), (1,), ())) if name == "parallel_branch"
+           else request.getfixturevalue(f"{name}_dep"))
+    neighbors = {b.id: branch_neighbors(case.branches, b.id) for b in case.buses}
+    for bus, expected in neighbors.items():
+        assert case.neighbors(bus) == expected
+    # every bus subset up to *size* that is connected and bounded by load buses
+    load = {b.id for b in case.buses if b.pd != 0.0 or b.qd != 0.0}
+    expected = [
+        subset
+        for k in range(1, size + 1)
+        for subset in itertools.combinations(sorted(neighbors), k)
+        if set().union(*(neighbors[b] for b in subset)) - set(subset) <= load
+        and bfs_connected(subset, case.branches)]
+    assert expected
+    got = [check.attacked_buses for check in enumerate_attack_sets(case, dep, size)]
+    assert got == sorted(expected)
 
 
 def test_support_propagation(ieee24_case, ieee24_dep):

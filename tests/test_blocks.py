@@ -32,8 +32,9 @@ def test_block_rejects_non_finite_entries_and_label_mismatch():
 
 
 def test_non_integral_sample_count_rejected(ieee24_case, ieee24_plan):
-    with pytest.raises(ValueError, match="integer"):
-        generate_block(ieee24_case, ieee24_plan, 5.01, 30.0, seed=1)
+    for duration, rate in ((5.01, 30.0), (np.inf, 30.0), (5.0, np.inf), (1e300, 1e300)):
+        with pytest.raises(ValueError, match=r"duration_s \* rate_hz must be an integer"):
+            generate_block(ieee24_case, ieee24_plan, duration, rate, seed=1)
     # a negative duration and rate have a positive product
     with pytest.raises(ValueError, match="positive"):
         generate_block(ieee24_case, ieee24_plan, -5.0, -30.0, seed=1)

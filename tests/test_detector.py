@@ -205,7 +205,8 @@ def test_small_instances_match_subgradient_reference():
             g_rows = rng.normal(size=(k, n_z)) + 1j * rng.normal(size=(k, n_z))
             g_rows /= np.linalg.norm(g_rows, axis=1, keepdims=True)
         weight = 1.05
-        m, c, diag = _decompose(zbar, g_rows, weight, SolverOptions())
+        m, c, diag = _decompose(zbar, g_rows, weight, SolverOptions(),
+                                np.linalg.norm(g_rows, 2) ** 2, np.linalg.norm(zbar, 2))
         admm_obj = nuclear_norm(m) + weight * l12_norm(c)
         reference = subgradient_detector_reference(zbar, g_rows, weight)
         assert admm_obj <= reference + 1e-3 * max(1.0, reference)
@@ -245,7 +246,7 @@ def _full_height(block, dep, weight, options, thresholds):
     """``detect``'s result with the loop run on all N rows of *block*,
     without the column-space reduction."""
     zbar, g = block.z, dep.h_normalized.T
-    m, c, diag = _decompose(zbar, g, weight, options, dep.smax2)
+    m, c, diag = _decompose(zbar, g, weight, options, dep.smax2, np.linalg.norm(zbar, 2))
     result = DetectionResult(
         z_lowrank=m, c=c, weight=weight,
         state_column_norms=np.linalg.norm(c, axis=0),

@@ -1,8 +1,11 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmufdi import kernels
 from pmufdi.kernels import (
@@ -153,6 +156,48 @@ def test_l12_norm_known_values():
     assert l12_norm(np.eye(2)) == pytest.approx(2.0)
     assert l12_norm(np.zeros((3, 4))) == 0.0
     assert l12_norm(np.array([[3.0], [4.0]])) == pytest.approx(5.0)
+
+
+# --- generated inputs --------------------------------------------------------
+
+matrices = dict(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.integers(1, 9),
+                rank=st.integers(0, 9), exponent=st.integers(-3, 3))
+
+
+def generated_matrix(seed, rows, cols, rank, exponent):
+    """A complex rows x cols matrix of rank min(rank, rows, cols), its
+    singular values spread over two decades around 10**exponent."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    u, _ = np.linalg.qr(random_complex(rng, (rows, rank)))
+    v, _ = np.linalg.qr(random_complex(rng, (cols, rank)))
+    s = 10.0 ** (exponent + rng.uniform(-1.0, 1.0, size=rank))
+    return (u * s) @ v.conj().T, rng
+
+
+@given(ratio=st.floats(0.0, 2.0), **matrices)
+def test_prox_inequalities_on_generated_matrices(ratio, **shape):
+    m, rng = generated_matrix(**shape)
+    threshold = ratio * 10.0 ** shape["exponent"]
+    for prox, norm in ((svt, nuclear_norm), (shrink_columns, l12_norm)):
+        p = prox(m, threshold)
+
+        def value(x):
+            return threshold * norm(x) + 0.5 * np.linalg.norm(x - m) ** 2
+
+        # the prox objective is 1-strongly convex with its minimum at p
+        for step in (1e-3, 1e-1, 1.0):
+            y = p + random_complex(rng, m.shape, scale=step * 10.0 ** shape["exponent"])
+            gain = value(y) - value(p) - 0.5 * np.linalg.norm(y - p) ** 2
+            assert gain >= -1e-10 * (value(y) + value(p))
+
+
+@given(**matrices)
+def test_norms_match_their_oracles_on_generated_matrices(**shape):
+    m, _ = generated_matrix(**shape)
+    assert nuclear_norm(m) == pytest.approx(nuclear_norm_eig(m), rel=1e-9, abs=0.0)
+    columns = sum(math.sqrt(sum(abs(x) ** 2 for x in m[:, j])) for j in range(m.shape[1]))
+    assert l12_norm(m) == pytest.approx(columns, rel=1e-12, abs=0.0)
 
 
 def test_kernels_deterministic():

@@ -119,7 +119,8 @@ def test_iteration_budget_respected(two_bus_case, monkeypatch):
 
 
 def test_jacobian_matches_finite_differences(ieee24_case):
-    ybus = build_admittances(ieee24_case).ybus
+    adm = build_admittances(ieee24_case)
+    ybus = adm.ybus
     types = np.array([b.type for b in ieee24_case.buses])
     pq = np.flatnonzero(types == PQ)
     pvpq = np.flatnonzero(types != SLACK)
@@ -139,7 +140,8 @@ def test_jacobian_matches_finite_differences(ieee24_case):
     h = 1e-6
     fd = np.column_stack([(mismatch(x0 + h * e) - mismatch(x0 - h * e)) / (2 * h)
                           for e in np.eye(x0.size)])
-    jac = powerflow._jacobian(ybus, vm * np.exp(1j * va), pvpq, pq)
+    v = vm * np.exp(1j * va)
+    jac = powerflow._jacobian(adm.newton, v, ybus @ v)
     assert jac.shape == (x0.size, x0.size)
     assert np.max(np.abs(jac - fd)) < 1e-6 * np.max(np.abs(jac))
 
@@ -177,9 +179,7 @@ def test_jacobian_matches_dense_oracle(name, request):
         for _ in range(3)]
     for v in starts:
         dense = dense_jacobian(ybus, v, plan.pvpq, plan.pq)
-        assert np.array_equal(powerflow._jacobian(ybus, v, plan.pvpq, plan.pq,
-                                                  ybus @ v, plan.pattern), dense)
-        assert np.array_equal(powerflow._jacobian(ybus, v, plan.pvpq, plan.pq), dense)
+        assert np.array_equal(powerflow._jacobian(plan, v, ybus @ v), dense)
 
 
 @pytest.mark.parametrize("config", ["ieee24.yaml", "ieee118.yaml"])
@@ -193,8 +193,9 @@ def test_blocks_bit_identical_with_dense_jacobian(config, monkeypatch):
         return state, block
 
     state, block = generate()
+    ybus = build_admittances(case).ybus
     monkeypatch.setattr(powerflow, "_jacobian",
-                        lambda ybus, v, pvpq, pq, *_: dense_jacobian(ybus, v, pvpq, pq))
+                        lambda plan, v, ibus: dense_jacobian(ybus, v, plan.pvpq, plan.pq))
     dense_state, dense_block = generate()
     assert state.x.tobytes() == dense_state.x.tobytes()
     assert block.z.tobytes() == dense_block.z.tobytes()
@@ -215,13 +216,12 @@ def test_newton_plan_built_once_per_block(ieee118_case, ieee118_plan, monkeypatc
         solves.append(kwargs["adm"])
         return solve_ac_power_flow(*args, **kwargs)
 
-    for cls in (powerflow.NewtonPlan, powerflow.JacobianPattern):
-        monkeypatch.setattr(cls, "build", counting(cls.build))
+    monkeypatch.setattr(powerflow.NewtonPlan, "build", counting(powerflow.NewtonPlan.build))
     monkeypatch.setattr(blocks, "solve_ac_power_flow", solve)
     blocks.generate_block(ieee118_case, ieee118_plan, 5.0, 30.0, seed=2024)
     assert len(solves) == 121
     assert len(set(map(id, solves))) == 1
-    assert built == [powerflow.NewtonPlan, powerflow.JacobianPattern]
+    assert built == [powerflow.NewtonPlan]
 
 
 def test_admittances_of_another_case_object_get_their_own_plan(ieee24_case):
