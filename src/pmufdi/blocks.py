@@ -12,16 +12,17 @@ Blocks are stored in one lossless format, a documented CSV layout
 ("# key: value" metadata lines, a label header, complex entries as
 "<re><+/-><im>j" with 17 significant digits and the sign bit of every
 part kept, and a t column of sample indices counting up by one from
-start_index). The reader names the file and the bad sample, channel or
-metadata key of a malformed input, and the file of one that is not a
-block CSV at all.
+start_index). A label holding a comma, a quote or a line break is
+quoted, and a block of no channels keeps its header of "t" alone. The
+reader names the file and the bad sample, channel or metadata key of a
+malformed input, and the file of one that is not a block CSV at all.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import math
+import types
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -203,24 +204,30 @@ def _format_complex(value: complex) -> str:
     return f"{_FMT % value.real}{sign}{_FMT % abs(value.imag)}j"
 
 
+def csv_text(rows) -> str:
+    """*rows* (cell sequences) as CSV lines, each ending in "\n" alone.
+    Every cell that holds a "\r" or a "\n" is quoted, so that
+    ``csv.reader`` on a file opened with ``newline=""`` reads it back."""
+    lines: list[str] = []
+    # with "\r\n" as its terminator the writer quotes every such cell
+    sink = types.SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n"))
+    csv.writer(sink, lineterminator="\r\n").writerows(rows)
+    return "".join(lines)
+
+
 def write_block_csv(block: MeasurementBlock, path: str | Path) -> None:
     """CSV layout: "# key: value" metadata, then t + channel labels header,
     then one row per instant with complex entries as "<re><+/-><im>j".
     """
-    buf = io.StringIO()
-    buf.write("# pmufdi-block: 1\n")
-    buf.write(f"# rate_hz: {_FMT % block.rate_hz}\n")
-    buf.write(f"# start_index: {block.start_index}\n")
-    buf.write(f"# dependency: {block.dependency_digest}\n")
-    buf.write(f"# attacked: {int(block.attacked)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", *block.labels])
-    for k in range(block.n_steps):
-        writer.writerow([
-            block.start_index + k,
-            *(_format_complex(z) for z in block.z[k]),
-        ])
-    Path(path).write_text(buf.getvalue())
+    meta = (f"# pmufdi-block: 1\n"
+            f"# rate_hz: {_FMT % block.rate_hz}\n"
+            f"# start_index: {block.start_index}\n"
+            f"# dependency: {block.dependency_digest}\n"
+            f"# attacked: {int(block.attacked)}\n")
+    table = csv_text([["t", *block.labels],
+                      *([block.start_index + k, *(_format_complex(z) for z in block.z[k])]
+                        for k in range(block.n_steps))])
+    Path(path).write_text(meta + table)
 
 
 def read_block_csv(path: str | Path) -> MeasurementBlock:
@@ -237,7 +244,7 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     meta = {}
     samples = []
     rows = []
-    labels: tuple[str, ...] = ()
+    labels: tuple[str, ...] | None = None
     for row in table:
         if not row:
             continue
@@ -245,7 +252,7 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
             key, _, value = row[0].lstrip("# ").partition(":")
             meta[key.strip()] = value.strip()
             continue
-        if not labels:
+        if labels is None:          # a block of no channels has a header of "t" alone
             labels = tuple(row[1:])
             continue
         if len(row) != len(labels) + 1:

@@ -82,8 +82,15 @@ def _require(key: str, value, kind) -> None:
     else:
         noun, base = _SCALARS[kind]
         if not isinstance(value, base) or isinstance(value, bool) \
-                or (kind is float and not math.isfinite(value)):
+                or (kind is float and not _finite(value)):
             raise ConfigError(f"{key} must be {noun}, got {value!r}")
+
+
+def _finite(value: numbers.Real) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:               # an integer beyond the float range
+        return False
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,19 @@ All kernels operate on full complex matrices (the data are phasors, and
 stacking real/imaginary parts would change the nuclear norm). SVDs are
 economy-size throughout. Everything here is deterministic and pure.
 
+:func:`svt` takes no SVD. The singular value thresholding operator of
+Cai, Candes & Shen ("A singular value thresholding algorithm for matrix
+completion", SIAM J. Optim. 2010) needs only the left singular vectors
+and the singular values above the threshold, and both come from one
+Hermitian eigendecomposition of the short side's k x k Gram matrix,
+which costs less than the economy SVD: on a 2-core x86 host, 122
+against 150 us on a 19 x 41 block and 236 against 547 us on a 26 x 157
+one. Squaring the singular values costs accuracy in the small ones,
+so the result carries an error bound that grows as the threshold falls
+(:func:`svt`). The detector's M-step, whose threshold 1/rho is at least
+2**-20 on unit-Frobenius data, stays where that error is below
+1.3e-9 s_1.
+
 The module also holds the settings, error and diagnostics types of the
 package's one iterative solver, the detector's ADMM
 (:mod:`pmufdi.detector`).
@@ -19,14 +32,15 @@ multi-threaded BLAS also oversubscribe the cores. :data:`BLAS_THREADS`
 holds the count the libraries read back, 1, or ``None``, with one
 logged warning, where either is not found, as with a BLAS other than
 the wheels' own. The ``scipy`` package is imported for that, but not
-``scipy.linalg``, which costs about 0.3 s and 26 MB per process: only
-the SVD's rare ``gesvd`` fallback imports it, when it runs.
+``scipy.linalg``, which costs about 0.3 s and 26 MB per process: the
+package never imports it, and a caller that does finds its BLAS pinned.
 """
 
 from __future__ import annotations
 
 import ctypes
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +48,8 @@ import numpy as np
 import scipy
 
 log = logging.getLogger(__name__)
+
+_EPS = np.finfo(float).eps
 
 
 def _openblas(package, pattern: str, symbol_suffix: str):
@@ -142,26 +158,46 @@ def nuclear_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
-def _svd(m: np.ndarray):
-    try:
-        return np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # the default gesdd driver occasionally fails to converge on
-        # extreme inputs; gesvd is slower but far more robust. Imported
-        # here, so that the package's import does not load scipy.linalg
-        import scipy.linalg
-        return scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-
-
 def svt(m: np.ndarray, tau: float) -> np.ndarray:
-    """Singular value soft-thresholding, the prox of tau * nuclear norm."""
+    """Singular value soft-thresholding, the prox of tau * nuclear norm.
+
+    With a the short side of *m* (m itself, or m^H for a tall m), Q and
+    lambda the eigenvectors and eigenvalues of the Gram a a^H and
+    s = sqrt(lambda), the prox is Q diag(1 - tau/s) Q^H a, taken over the
+    eigenvalues above max(tau^2, max(shape) eps lambda_max). The second
+    term is numpy's ``matrix_rank`` cut applied to lambda: below it an
+    eigenvalue is rounding noise of the Gram, and its direction counts as
+    a zero singular value. The entries are first scaled by a power of
+    two, which is exact, so that the Gram neither overflows nor
+    underflows.
+
+    Against the exact prox the Frobenius error is at most
+    ||E||_F / (2 tau) + sqrt(k) max(0, sqrt(f + ||E||_F) - tau), plus the
+    rounding of the last products, with f the cut and E the rounding
+    error of the Gram and its eigensolver, a modest multiple of
+    (n + k) eps ||m||_F^2; the derivation is with the full-SVD reference
+    in the tests' oracles. The bound grows as tau falls, and its second
+    term binds only where tau^2 is below about f. Over 20,000 generated
+    complex matrices (shapes up to 26 x 157 either way, every rank,
+    spectra over 0-12 decades) the error stayed below 3e-10 s_1 for
+    tau >= 1e-6 s_1 and below 1.3e-9 s_1 wherever the cut did not bind;
+    at tau = 1e-7 s_1 on 157 columns, where it does, it reached 9e-8 s_1.
+    The detector's M-step thresholds at tau >= 9.5e-7 s_1 on both
+    shipped configs.
+    """
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
     m = _require_finite(m, "matrix")
-    u, s, vh = _svd(m)
-    s = np.maximum(s - tau, 0.0)
-    keep = s > 0
-    return (u[:, keep] * s[keep]) @ vh[keep]
+    wide = m.shape[0] <= m.shape[1]
+    a = m if wide else m.conj().T
+    scale = 2.0 ** math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    a = a / scale
+    tau = tau / scale
+    lam, q = np.linalg.eigh(a @ a.conj().T)
+    keep = lam > max(tau * tau, max(m.shape) * _EPS * lam.max(initial=0.0))
+    q = q[:, keep]
+    p = (q * (scale * (1.0 - tau / np.sqrt(lam[keep])))) @ (q.conj().T @ a)
+    return p if wide else p.conj().T
 
 
 def shrink_columns(c: np.ndarray, kappa: float) -> np.ndarray:

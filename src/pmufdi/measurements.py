@@ -82,6 +82,21 @@ class DependencyMatrix:
         computed once, since ``h_normalized`` is read-only."""
         return float(np.linalg.svd(self.h_normalized.T, compute_uv=False)[0] ** 2)
 
+    @cached_property
+    def _rows_by_bus(self) -> dict[int, tuple[int, ...]]:
+        nonzero = self.h != 0.0
+        return {bus: tuple(np.flatnonzero(nonzero[:, j]).tolist())
+                for j, bus in enumerate(self.bus_ids)}
+
+    def bus_rows(self, bus_id: int) -> tuple[int, ...]:
+        """Rows of h with a structurally nonzero entry on *bus_id*'s column,
+        in order; built for every bus at the first call, since ``h`` is
+        read-only."""
+        try:
+            return self._rows_by_bus[bus_id]
+        except KeyError:
+            raise PlanError(f"no state column for bus {bus_id}") from None
+
     def row_index(self, label: str) -> int:
         try:
             return self.row_labels.index(label)

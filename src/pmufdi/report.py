@@ -27,7 +27,6 @@ import dataclasses
 import json
 import math
 import os
-import types
 import typing
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .blocks import csv_text
 from .detector import Outcome
 
 
@@ -210,14 +210,7 @@ def write_text(path: str | Path, content: str) -> Path:
 
 def write_table(path: str | Path, header, rows) -> Path:
     """Write *header* and then each of *rows* (value sequences) as one table."""
-    lines: list[str] = []
-    # with "\r\n" as its terminator the writer quotes every cell that holds
-    # a "\r" or a "\n"; each line then ends in "\n" alone
-    sink = types.SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n"))
-    writer = csv.writer(sink, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
-    return write_text(path, "".join(lines))
+    return write_text(path, csv_text([header, *([_fmt(v) for v in row] for row in rows)]))
 
 
 def write_records(path: str | Path, cls, records) -> Path:

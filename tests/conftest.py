@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 import pmufdi
-from pmufdi import experiment
+from pmufdi import detector, experiment
 
 # generated inputs come from a fixed derivation, so every run of the
 # suite draws the same examples and nothing is stored between runs
@@ -29,6 +30,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" ({detail})"
         terminalreporter.write_line(line)
+
+
+def recording_mstep_ratios(patch, ratios):
+    """Make the detector's M-step append tau / s_1 of its input to *ratios*,
+    through the monkeypatch context *patch*."""
+    threshold = detector.svt
+
+    def thresholding(m, tau):
+        ratios.append(tau / float(np.linalg.norm(m, 2)))
+        return threshold(m, tau)
+
+    patch.setattr(detector, "svt", thresholding)
 
 
 @pytest.fixture

@@ -122,6 +122,70 @@ def nuclear_norm_eig(m: np.ndarray) -> float:
     return float(np.sum(np.sqrt(eigvals)))
 
 
+# the smallest tau / s_1 at which the tests hold kernels.svt to the bound
+# of svt_error_bound, and the smallest the detector's M-step may reach
+SVT_REGIME = 1e-7
+
+
+def svt_svd(m: np.ndarray, tau: float) -> np.ndarray:
+    """Singular value soft-thresholding from the full economy SVD: the
+    reference for ``kernels.svt``, which takes its prox from the
+    eigendecomposition of the short side's Gram instead."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    s = np.maximum(s - tau, 0.0)
+    keep = s > 0
+    return (u[:, keep] * s[keep]) @ vh[keep]
+
+
+def svt_error_bound(m: np.ndarray, tau: float) -> float:
+    """Frobenius bound on ||kernels.svt(m, tau) - svt_svd(m, tau)|| for tau > 0.
+
+    Let a be the short side of m (k x n, k <= n), G = a a^H and
+    phi(x) = max(0, 1 - tau / sqrt(x)), so that the exact prox is
+    phi(G) a. The kernel returns the exact phi~(G + E) a, where E is the
+    rounding error of forming G (at most n eps |a_i| |a_j| entrywise)
+    plus the backward error of the eigensolver (a small multiple of
+    k eps ||G||), so ||E||_F <= c (n + k) eps ||a||_F^2 for a modest
+    constant c, and phi~ is phi with the eigenvalues at or below the cut
+    f = max(shape) eps lambda_max set to zero.
+
+    1. Write a = G^(1/2) W with ||W||_2 <= 1. In the eigenbases of G + E
+       (values x_i) and G (values y_j), (phi(G + E) - phi(G)) G^(1/2) is
+       the Schur product of Q^H E Q' with the divided differences
+       phi[x_i, y_j] sqrt(y_j). Each of those is at most 1/(2 tau): for
+       x, y > tau^2 it is tau / (sqrt(x) (sqrt(x) + sqrt(y))), and where
+       one side sits at or below tau^2 it is at most
+       1 / (sqrt(y) + tau) or tau / (sqrt(x) (sqrt(x) + tau)). A Schur
+       multiplier bounded entrywise by 1/(2 tau) scales the Frobenius
+       norm by at most that, so this part is at most ||E||_F / (2 tau).
+    2. The cut drops each eigenvalue x of G + E in (tau^2, f], whose
+       vector q has ||q^H a||^2 = x - q^H E q <= f + ||E||_F; it drops
+       phi(x) ||q^H a|| <= sqrt(f + ||E||_F) - tau, at most k times.
+    3. The kernel's last products Q w Q^H a and the reference's
+       U S V^H each round by at most c (n + k) eps ||a||_F.
+
+    Together, with gamma = c (n + k) eps:
+
+        gamma ||a||_F^2 / (2 tau)
+        + sqrt(k) max(0, sqrt(f + gamma ||a||_F^2) - tau)
+        + 2 gamma ||a||_F.
+
+    The eigensolver's and the SVD's backward-error constants are modest
+    multiples that the analysis leaves open; c = 4 covers them, and
+    rounding-level cases (tau near s_1) reach half the bound at c = 1.
+    The bound grows as tau falls. Its second term, the cut, is zero once
+    tau^2 exceeds f + gamma ||a||_F^2, about 4e-7 s_1 on a 19 x 41 block.
+    """
+    k, n = sorted(m.shape)
+    gamma = 4 * (n + k) * np.finfo(float).eps
+    s1 = float(np.linalg.norm(m, 2))
+    frob = float(np.linalg.norm(m))
+    err = gamma * frob ** 2
+    cut = n * np.finfo(float).eps * s1 * s1
+    return (err / (2 * tau) + np.sqrt(k) * max(0.0, np.sqrt(cut + err) - tau)
+            + 2 * gamma * frob)
+
+
 def _nuclear(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 

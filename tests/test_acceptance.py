@@ -21,8 +21,9 @@ from pmufdi.experiment import load_config, run_experiment
 from pmufdi.kernels import SolverOptions, l12_norm, nuclear_norm, shrink_columns, svt
 from pmufdi.report import save_report
 
-from conftest import record_acceptance
+from conftest import record_acceptance, recording_mstep_ratios
 from oracles import (
+    SVT_REGIME,
     gauss_seidel_power_flow,
     powell_attack_reference,
     subgradient_detector_reference,
@@ -45,7 +46,13 @@ def diagnostics24():
 
 
 @pytest.fixture(scope="session")
-def report24(tmp_path_factory, diagnostics24):
+def mstep_ratios24():
+    """tau / s_1 of the input of every M-step of ``report24``, which fills it."""
+    return []
+
+
+@pytest.fixture(scope="session")
+def report24(tmp_path_factory, diagnostics24, mstep_ratios24):
     out = tmp_path_factory.mktemp("accept24")
     cfg = load_config(CONFIG_DIR / "ieee24.yaml", out_dir=str(out))
 
@@ -56,6 +63,7 @@ def report24(tmp_path_factory, diagnostics24):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(experiment, "detect", recording)
+        recording_mstep_ratios(patch, mstep_ratios24)
         report = run_experiment(cfg)
     save_report(report, cfg.out_dir)
     return cfg, report, out
@@ -266,6 +274,14 @@ def test_detector_iterations_stay_guarded(report24):
     vanishing = [r.detect_iterations for r in report.rows if r.max_state_column_norm == 0]
     assert vanishing and max(vanishing) <= 29
     assert sum(r.detect_iterations for r in report.rows) <= 8000
+
+
+def test_mstep_stays_in_the_svt_accuracy_regime(report24, mstep_ratios24):
+    # the kernel's Gram eigendecomposition is held to the SVD reference
+    # for tau >= SVT_REGIME s_1 (test_kernels); every M-step must be there
+    _, report, _ = report24
+    assert len(mstep_ratios24) == sum(r.detect_iterations for r in report.rows) > 0
+    assert min(mstep_ratios24) >= SVT_REGIME
 
 
 def test_safeguard_keeps_and_rejects_extrapolations(report24, diagnostics24):

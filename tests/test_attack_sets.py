@@ -125,3 +125,9 @@ def test_measurement_support_of_multiple_buses(ieee24_dep):
     jointly = set(measurement_support(ieee24_dep, [7, 8]))
     assert jointly >= set(measurement_support(ieee24_dep, [8]))
     assert jointly >= set(measurement_support(ieee24_dep, [7]))
+    # exactly the rows a scan of H's columns finds
+    for buses in ([8], [7, 8], [8, 7], [1, 2, 4, 5], list(ieee24_dep.bus_ids)):
+        cols = [ieee24_dep.column_index(b) for b in buses]
+        scan = np.flatnonzero(np.any(ieee24_dep.h[:, cols] != 0.0, axis=1))
+        assert measurement_support(ieee24_dep, buses) == tuple(int(i) for i in scan)
+    assert measurement_support(ieee24_dep, []) == ()

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pmufdi.blocks import (
     MeasurementBlock,
@@ -131,6 +133,39 @@ def test_csv_round_trip(tmp_path, ieee24_blocks):
     assert back.start_index == block.start_index
     assert back.dependency_digest == block.dependency_digest
     assert back.attacked == block.attacked
+
+
+# finite parts only, as a block holds: signed zeros, subnormals and the
+# largest magnitudes among them
+PARTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+LABELS = st.lists(st.sampled_from([",", '"', " ", "\n", "\r", "\r\n", "#", "t"])
+                  | st.text(st.characters(max_codepoint=0x2FF, exclude_categories=("Cs",)),
+                            max_size=3)).map("".join)
+
+
+@st.composite
+def blocks(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    parts = draw(st.lists(PARTS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    z = np.array(parts, dtype=float).view(complex).reshape(rows, cols)
+    return MeasurementBlock(
+        z=z, rate_hz=draw(st.floats(1e-3, 1e6)), start_index=draw(st.integers(-10**6, 10**6)),
+        labels=tuple(draw(st.lists(LABELS, min_size=cols, max_size=cols))),
+        dependency_digest=draw(st.text("0123456789abcdef", max_size=12)),
+        attacked=draw(st.booleans()))
+
+
+@given(block=blocks())
+def test_generated_blocks_round_trip_bit_for_bit(tmp_path_factory, block):
+    path = tmp_path_factory.mktemp("block") / "block.csv"
+    write_block_csv(block, path)
+    back = read_block_csv(path)
+    assert back.z.shape == block.z.shape
+    assert np.array_equal(back.z.view(np.uint64), block.z.view(np.uint64))
+    assert (back.labels, back.rate_hz, back.start_index, back.dependency_digest,
+            back.attacked) == (block.labels, block.rate_hz, block.start_index,
+                               block.dependency_digest, block.attacked)
 
 
 def _cut_last_cell(line):

@@ -24,7 +24,8 @@ from pmufdi.detector import (
 from pmufdi.experiment import load_config
 from pmufdi.kernels import SolverOptions, l12_norm, nuclear_norm
 
-from oracles import subgradient_detector_reference
+from conftest import recording_mstep_ratios
+from oracles import SVT_REGIME, subgradient_detector_reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -285,12 +286,18 @@ def test_column_space_solve_matches_the_full_height_solve(detect_calls, tmp_path
 
 
 @pytest.mark.parametrize("seed", [2024, 7])
-def test_column_space_solve_matches_the_full_height_solve_on_naive_ramps(seed):
+def test_column_space_solve_matches_the_full_height_solve_on_naive_ramps(seed, monkeypatch):
     ramps, dep, cfg = _naive_ramps(seed)
     kwargs = dict(weight=cfg.weight, options=cfg.solver, thresholds=cfg.thresholds)
+    ratios = []
     for bus, attacked in ramps:
-        result = detect(attacked, dep, **kwargs)
+        with monkeypatch.context() as patch:
+            recording_mstep_ratios(patch, ratios)
+            result = detect(attacked, dep, **kwargs)
+        assert result.state_support == (bus,)
         _assert_matches_full_height(attacked, dep, kwargs, result, (bus,))
+    # every M-step thresholds where svt is held to the SVD reference
+    assert ratios and min(ratios) >= SVT_REGIME
 
 
 def test_m_step_runs_on_the_column_space(detect_calls, monkeypatch, tmp_path):

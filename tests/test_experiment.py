@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pmufdi import experiment, kernels
 from pmufdi.detector import Outcome
@@ -152,6 +154,37 @@ def test_config_validation_errors():
     # the same rule holds for a config built in code
     with pytest.raises(ConfigError, match=re.escape("solver.max_iter")):
         small_cfg(solver=SolverOptions(max_iter=2.5))
+
+
+# YAML-shaped values: scalars, and lists and mappings of them, with keys
+# that the config and its sections know among the others
+CONFIG_KEYS = ("system", "case", "plan", "duration_s", "rate_hz", "windows", "seed", "lambda",
+               "max_set_size", "limit", "workers", "disturbance", "solver", "thresholds",
+               "out_dir", "trace", "naive_scale", "weight")
+SECTION_KEYS = ("voltage_buses", "from_branches", "to_branches", "magnitude", "decay",
+                "max_iter", "tol_rel", "rel", "floor", "channel", "buses")
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-2, 200) | st.floats()
+           | st.text(max_size=4)
+           | st.sampled_from(["ieee24", "ieee118", "F:11", "x.m", 10**400, -10**400]))
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SECTION_KEYS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@given(raw=st.fixed_dictionaries({}, optional={key: VALUES for key in CONFIG_KEYS})
+       | st.dictionaries(st.text(max_size=3), VALUES, max_size=3),
+       system=st.sampled_from([None, "ieee24", "ieee118"]))
+# an integer beyond the float range in a float field
+@example(raw={"lambda": 10**400}, system="ieee24")
+@example(raw={"solver": {"tol_rel": -10**400}}, system="ieee24")
+def test_generated_mappings_raise_only_config_errors(raw, system):
+    if system is not None:
+        raw.setdefault("system", system)
+    try:
+        assert isinstance(config_from_mapping(raw), ExperimentConfig)
+    except ConfigError:
+        pass
 
 
 def test_every_config_annotation_has_a_type_rule():
@@ -345,9 +378,9 @@ def test_worker_pool_matches_serial_on_118_bus(tmp_path):
 
 
 def test_experiment_does_not_import_scipy_linalg(tmp_path):
-    # scipy.linalg costs ~0.3 s and ~26 MB per process; only the SVD's
-    # rare gesvd fallback imports it. scipy.sparse costs ~0.17 s; the
-    # power flow's Jacobian is built on Ybus's pattern without it.
+    # scipy.linalg costs ~0.3 s and ~26 MB per process; the package never
+    # imports it. scipy.sparse costs ~0.17 s; the power flow's Jacobian is
+    # built on Ybus's pattern without it.
     code = (
         "import sys\n"
         "import pmufdi.cli\n"

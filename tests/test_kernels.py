@@ -16,7 +16,7 @@ from pmufdi.kernels import (
     svt,
 )
 
-from oracles import nuclear_norm_eig
+from oracles import SVT_REGIME, nuclear_norm_eig, svt_error_bound, svt_svd
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -25,6 +25,9 @@ def random_complex(rng, shape, scale=1.0):
 
 def test_blas_runs_on_one_thread():
     assert kernels.BLAS_THREADS == 1
+    # scipy's own library, which scipy.linalg runs on, reads back one thread too
+    _, get_threads = kernels._openblas(scipy, "libscipy_openblas-*.so", "")
+    assert get_threads() == 1
 
 
 def test_blas_pin_reports_a_missing_library(tmp_path):
@@ -100,21 +103,6 @@ def test_svt_rejects_bad_input():
         svt(np.array([[complex(1.0, np.inf), 0.0], [0.0, 1.0]]), 1.0)
 
 
-def test_svt_falls_back_to_gesvd(monkeypatch):
-    m = random_complex(np.random.default_rng(5), (9, 6))
-    expected = svt(m, 0.5)
-
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", fail)
-    got = svt(m, 0.5)
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
-    # scipy.linalg, imported by the fallback, runs on the pinned library
-    _, get_threads = kernels._openblas(scipy, "libscipy_openblas-*.so", "")
-    assert get_threads() == 1
-
-
 # --- column shrinkage -------------------------------------------------------
 
 def test_shrink_columns_known_values():
@@ -164,14 +152,14 @@ matrices = dict(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 9), cols=st.
                 rank=st.integers(0, 9), exponent=st.integers(-3, 3))
 
 
-def generated_matrix(seed, rows, cols, rank, exponent):
+def generated_matrix(seed, rows, cols, rank, exponent, decades=2.0):
     """A complex rows x cols matrix of rank min(rank, rows, cols), its
-    singular values spread over two decades around 10**exponent."""
+    singular values spread over *decades* decades around 10**exponent."""
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, cols)
     u, _ = np.linalg.qr(random_complex(rng, (rows, rank)))
     v, _ = np.linalg.qr(random_complex(rng, (cols, rank)))
-    s = 10.0 ** (exponent + rng.uniform(-1.0, 1.0, size=rank))
+    s = 10.0 ** (exponent + decades / 2 * rng.uniform(-1.0, 1.0, size=rank))
     return (u * s) @ v.conj().T, rng
 
 
@@ -198,6 +186,62 @@ def test_norms_match_their_oracles_on_generated_matrices(**shape):
     assert nuclear_norm(m) == pytest.approx(nuclear_norm_eig(m), rel=1e-9, abs=0.0)
     columns = sum(math.sqrt(sum(abs(x) ** 2 for x in m[:, j])) for j in range(m.shape[1]))
     assert l12_norm(m) == pytest.approx(columns, rel=1e-12, abs=0.0)
+
+
+# the detector's loop shapes on the 24-bus (k x 41) and 118-bus (k x 157) windows
+LOOP_SHAPES = ((19, 41), (13, 41), (26, 157))
+
+
+@given(shape=st.sampled_from(LOOP_SHAPES) | st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       tall=st.booleans(), seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 26),
+       exponent=st.integers(-3, 3), decades=st.floats(0.0, 12.0),
+       ratio=st.floats(math.log10(SVT_REGIME), 0.3))
+def test_svt_matches_the_svd_reference(shape, tall, ratio, **spectrum):
+    rows, cols = sorted(shape, reverse=tall)
+    m, _ = generated_matrix(rows=rows, cols=cols, **spectrum)
+    tau = 10.0 ** ratio * float(np.linalg.norm(m, 2))
+    error = float(np.linalg.norm(svt(m, tau) - svt_svd(m, tau)))
+    assert error <= svt_error_bound(m, tau)
+
+
+def test_svt_decomposes_the_short_sides_gram(monkeypatch):
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(a):
+        sizes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    rng = np.random.default_rng(6)
+    for shape in ((19, 41), (41, 19)):
+        m = random_complex(rng, shape)
+        assert np.linalg.norm(svt(m, 0.5) - svt_svd(m, 0.5)) <= 1e-12 * np.linalg.norm(m)
+    assert sizes == [(19, 19), (19, 19)]
+
+
+def test_svt_cuts_at_the_grams_numerical_rank():
+    # an eigenvalue of the Gram at or below max(shape) eps lambda_max is
+    # rounding noise, so its direction counts as a zero singular value
+    for shape in ((2, 2), (2, 5), (5, 2)):
+        for s, kept in ((1e-7, True), (1e-8, False)):
+            m = np.zeros(shape, dtype=complex)
+            m[0, 0], m[1, 1] = 1.0, s
+            got = svt(m, 0.0)
+            expected = m.copy()
+            expected[1, 1] = s if kept else 0.0
+            assert np.max(np.abs(got - expected)) <= 1e-15
+
+
+def test_svt_scales_exactly_by_powers_of_two():
+    # squared entries beyond ~1e154 would overflow the Gram, and below
+    # ~1e-154 underflow it; scaling by a power of two changes no bit
+    rng = np.random.default_rng(7)
+    m = random_complex(rng, (4, 7))
+    for shift in (-600, 600):
+        for a in (m, m.T):
+            assert np.array_equal(svt(a * 2.0 ** shift, 0.3 * 2.0 ** shift),
+                                  svt(a, 0.3) * 2.0 ** shift)
 
 
 def test_kernels_deterministic():

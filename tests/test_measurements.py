@@ -108,6 +108,15 @@ def test_row_and_column_lookup(ieee24_dep):
         ieee24_dep.column_index(999)
 
 
+def test_bus_rows_match_a_column_scan(ieee24_dep, ieee118_dep):
+    for dep in (ieee24_dep, ieee118_dep):
+        for j, bus in enumerate(dep.bus_ids):
+            scan = tuple(i for i in range(dep.n_measurements) if dep.h[i, j] != 0.0)
+            assert dep.bus_rows(bus) == scan
+    with pytest.raises(PlanError, match="999"):
+        ieee24_dep.bus_rows(999)
+
+
 def test_smax2_is_computed_once(ieee118_dep):
     expected = float(np.linalg.svd(ieee118_dep.h_normalized.T, compute_uv=False)[0] ** 2)
     assert ieee118_dep.smax2 == expected
