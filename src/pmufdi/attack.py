@@ -23,6 +23,11 @@ Equality needs X = -Z Q^H: any other X adds Frobenius mass, so some
 singular value grows strictly while none falls. The optimal post-attack
 block is therefore the projection M* = Z (I - P), reached by
 W = -Z Q^H R^(-H) alone.
+
+Row t of M* is z_t (I - P), and P depends only on the attacked set, so
+the attack works sample by sample and the attacker needs no knowledge
+of the detector's window: the attack designed on a whole block and cut
+to a window equals, to rounding, the attack designed on that window.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__ as _version
@@ -308,7 +307,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         "versions": {
             "pmufdi": _version,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
             "blas_threads": BLAS_THREADS,
         },
@@ -363,8 +361,9 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
     detector weight varies across the sweep.
     """
     weights = tuple(weights)
-    if not weights or not all(w > 0 for w in weights):
-        raise ConfigError("sweep weights must be a nonempty list of positives")
+    if not weights or not all(0 < w < math.inf for w in weights):
+        raise ConfigError(f"sweep weights must be a nonempty list of finite positives, "
+                          f"got {weights}")
     case, block, dep = cfg.build_block()
     first, last = cfg.windows[0]
     window_block = block.window(first, last)

@@ -21,19 +21,17 @@ The module also holds the settings, error and diagnostics types of the
 package's one iterative solver, the detector's ADMM
 (:mod:`pmufdi.detector`).
 
-Importing this module sets the OpenBLAS copies bundled with the numpy
-and scipy wheels to one thread for the whole process, whatever
-``OPENBLAS_NUM_THREADS`` says and whether or not numpy was imported
-first. Parallelism comes from scenario threads instead. A multi-threaded
-BLAS changes the summation order of its kernels, so the bits of a block,
-an SVD or a Newton solve, and hence of the reports, would otherwise
-depend on the thread count; two scenario threads each running a
-multi-threaded BLAS also oversubscribe the cores. :data:`BLAS_THREADS`
-holds the count the libraries read back, 1, or ``None``, with one
-logged warning, where either is not found, as with a BLAS other than
-the wheels' own. The ``scipy`` package is imported for that, but not
-``scipy.linalg``, which costs about 0.3 s and 26 MB per process: the
-package never imports it, and a caller that does finds its BLAS pinned.
+Importing this module sets the OpenBLAS bundled with the numpy wheel,
+which every kernel of the package runs on, to one thread for the whole
+process, whatever ``OPENBLAS_NUM_THREADS`` says and whether or not numpy
+was imported first. Parallelism comes from scenario threads instead. A
+multi-threaded BLAS changes the summation order of its kernels, so the
+bits of a block, an SVD or a Newton solve, and hence of the reports,
+would otherwise depend on the thread count; two scenario threads each
+running a multi-threaded BLAS also oversubscribe the cores.
+:data:`BLAS_THREADS` holds the count the library reads back, 1, or
+``None``, with one logged warning, where it is not found, as with a
+BLAS other than the wheel's own.
 """
 
 from __future__ import annotations
@@ -45,53 +43,38 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 log = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
 
 
-def _openblas(package, pattern: str, symbol_suffix: str):
-    """(set_num_threads, get_num_threads) of the OpenBLAS bundled in
-    *package*'s wheel; None if it is not found."""
-    libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-    for path in sorted(libs.glob(pattern)):
+def _pin_blas_threads(libs: Path) -> int | None:
+    """Set the OpenBLAS in the wheel directory *libs* to one thread and
+    return the count it reads back; None, with one logged warning, if it
+    is not found there. The wheel's build, ``lib<prefix>openblas64_*.so``,
+    prefixes its symbols with the ``<prefix>`` of its file name."""
+    for path in sorted(libs.glob("lib*openblas64_*.so")):
+        prefix = path.name[len("lib"):path.name.index("openblas64_")]
         try:
             lib = ctypes.CDLL(str(path))
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{symbol_suffix}")
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{symbol_suffix}")
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads64_")
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads64_")
         except (OSError, AttributeError):
             continue
         setter.argtypes, setter.restype = [ctypes.c_int], None
         getter.argtypes, getter.restype = [], ctypes.c_int
-        return setter, getter
+        setter(1)
+        return getter()
+    log.warning("numpy's bundled OpenBLAS was not found; the BLAS thread "
+                "count is not pinned, and reports may depend on it")
     return None
 
 
-def _set_one_thread(package, pattern: str, symbol_suffix: str) -> int | None:
-    """Set the OpenBLAS bundled in *package*'s wheel to one thread and
-    return the count it reads back; None if it is not found."""
-    found = _openblas(package, pattern, symbol_suffix)
-    if found is None:
-        return None
-    setter, getter = found
-    setter(1)
-    return getter()
-
-
-def _pin_blas_threads() -> int | None:
-    counts = [_set_one_thread(np, "libscipy_openblas64_*.so", "64_"),
-              _set_one_thread(scipy, "libscipy_openblas-*.so", "")]
-    if None in counts:
-        log.warning("the wheels' bundled OpenBLAS was not found; the BLAS thread "
-                    "count is not pinned, and reports may depend on it")
-        return None
-    return max(counts)
-
-
 # read by the experiment's meta.json, which thereby names the thread policy
-BLAS_THREADS = _pin_blas_threads()
+BLAS_THREADS = _pin_blas_threads(Path(np.__file__).resolve().parent.parent
+                                  / "numpy.libs")
+
 
 @dataclass(frozen=True)
 class SolverOptions:

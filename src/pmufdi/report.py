@@ -5,9 +5,10 @@ written with 17 significant digits, so they read back to the same value;
 tuples (bus ids, channel labels) are joined with ``+``, empty for none;
 other values are written with ``str``. A cell holding a comma, a
 quote, ``\\r`` or ``\\n`` is quoted, so a row reads back bit for bit,
-except that every NaN is written ``nan`` and reads back as the quiet
-NaN ``float("nan")``. Every file is written atomically, creating its
-directory. A dataclass fixes a table's columns:
+except for a NaN's payload: a NaN is written ``nan``, or ``-nan`` if its
+sign bit is set, and reads back as the quiet NaN of that sign,
+``float("nan")`` or ``float("-nan")``. Every file is written
+atomically, creating its directory. A dataclass fixes a table's columns:
 :func:`write_records` takes them from its fields in order and
 :func:`read_records` converts each column by its field's annotated type.
 
@@ -184,6 +185,9 @@ def aggregate_rows(rows) -> tuple[AggregateRow, ...]:
 
 def _fmt(value) -> str:
     if isinstance(value, float):
+        # '%g' writes "nan" for either sign
+        if math.isnan(value) and math.copysign(1.0, value) < 0:
+            return "-nan"
         return "%.17g" % value
     if isinstance(value, tuple):
         return "+".join(str(v) for v in value)

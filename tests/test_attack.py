@@ -108,6 +108,33 @@ def test_attacked_block_is_orthogonal_to_the_attacked_rows(system, request):
             assert leak <= 1e-12 * np.linalg.norm(window.z)
 
 
+@pytest.fixture(scope="module", params=["ieee24", "ieee118"])
+def block_and_sets(request):
+    """(block, dep, admissible sets up to size 2) of a shared fixture block."""
+    case = request.getfixturevalue(f"{request.param}_case")
+    _, block, dep = request.getfixturevalue(f"{request.param}_blocks")
+    return block, dep, enumerate_attack_sets(case, dep, 2)
+
+
+@given(data=st.data())
+def test_windowing_commutes_with_design_attack(block_and_sets, data):
+    # row t of the attacked block is z_t (I - P), with P fixed by the set,
+    # so cutting the attack designed on the whole block to a..b gives the
+    # attack designed on a..b
+    block, dep, sets = block_and_sets
+    buses = data.draw(st.sampled_from(sets)).attacked_buses
+    first = block.start_index
+    last = first + block.n_steps - 1
+    a = data.draw(st.integers(first, last))
+    b = data.draw(st.integers(a, last))
+    whole = design_attack(block, dep, buses)
+    window = design_attack(block.window(a, b), dep, buses)
+    tol = 1e-12 * np.abs(block.z).max()
+    cut = whole.attacked_block.window(a, b)
+    assert np.abs(cut.z - window.attacked_block.z).max() <= tol
+    assert np.abs(whole.c[a - first:b - first + 1] - window.c).max() <= tol
+
+
 def test_apply_attack_zero_matrix_is_identity(ieee24_blocks):
     _, block, dep = ieee24_blocks
     window = block.window(31, 90)

@@ -80,9 +80,10 @@ def test_detect_rejects_nonpositive_lambda(runner, config_path, tmp_path, weight
     assert not (tmp_path / "out" / "detection.csv").exists()
 
 
-def test_sweep_rejects_nan_lambda(runner, config_path, tmp_path):
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_sweep_rejects_nan_lambda(runner, config_path, tmp_path, weight):
     result = runner.invoke(main, ["sweep", "--config", str(config_path),
-                                  "--lambdas", "1.05,nan"])
+                                  "--lambdas", f"1.05,{weight}"])
     assert result.exit_code != 0
     assert "sweep weights" in str(result.exception)
     assert not (tmp_path / "out" / "lambda_sweep.csv").exists()

@@ -1,9 +1,7 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,15 +23,10 @@ def random_complex(rng, shape, scale=1.0):
 
 def test_blas_runs_on_one_thread():
     assert kernels.BLAS_THREADS == 1
-    # scipy's own library, which scipy.linalg runs on, reads back one thread too
-    _, get_threads = kernels._openblas(scipy, "libscipy_openblas-*.so", "")
-    assert get_threads() == 1
 
 
 def test_blas_pin_reports_a_missing_library(tmp_path):
-    package = SimpleNamespace(__file__=str(tmp_path / "fake" / "__init__.py"),
-                              __name__="fake")
-    assert kernels._set_one_thread(package, "libscipy_openblas*.so", "") is None
+    assert kernels._pin_blas_threads(tmp_path) is None
 
 
 # --- nuclear norm ----------------------------------------------------------
