@@ -19,9 +19,7 @@ from .blocks import (
     MeasurementBlock,
     StateBlock,
     generate_block,
-    read_block_csv,
     singular_spectrum,
-    write_block_csv,
 )
 from .cases import Branch, Bus, CaseError, CaseSyntaxError, Generator, GridCase, load_case, parse_case
 from .detector import (
@@ -51,6 +49,7 @@ from .measurements import (
     normalize_rows,
 )
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_ac_power_flow
+from .report import read_block_csv, write_block_csv
 from .testsystems import bundled_case_path, default_plan, load_bundled_case, system_names
 
 __version__ = "0.1.0"

@@ -32,8 +32,7 @@ to a window equals, to rounding, the attack designed on that window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,15 +51,8 @@ class AttackScenario:
     c: np.ndarray                  # (N, n_bus) complex; zero outside the set
     attacked_block: MeasurementBlock
     objective: float               # nuclear norm of the post-attack block
-    block: MeasurementBlock = field(repr=False)   # the clean block
     # no solver runs; perfbench/tracer.py's attack.design span reads .iterations
     diagnostics: SolverDiagnostics = SolverDiagnostics(0, 0.0, 0.0, 1.0)
-
-    @cached_property
-    def baseline_objective(self) -> float:
-        """Nuclear norm of the clean block, computed on first read: an
-        experiment has it per window already."""
-        return nuclear_norm(self.block.z)
 
 
 def design_attack(
@@ -93,7 +85,6 @@ def design_attack(
         c=c,
         attacked_block=attacked_block,
         objective=nuclear_norm(attacked_block.z if attacked else z),
-        block=block,
     )
 
 

@@ -6,25 +6,15 @@ generated by solving an AC power flow per instant under a perturbed load
 trajectory and reading the channels off the dependency matrix; the block
 is noise-free and satisfies Z = X H^T exactly. A block rejects
 non-finite entries, naming the first bad sample and channel, and a label
-count that differs from its channel count when it is made.
-
-Blocks are stored in one lossless format, a documented CSV layout
-("# key: value" metadata lines, a label header, complex entries as
-"<re><+/-><im>j" with 17 significant digits and the sign bit of every
-part kept, and a t column of sample indices counting up by one from
-start_index). A label holding a comma, a quote or a line break is
-quoted, and a block of no channels keeps its header of "t" alone. The
-reader names the file and the bad sample, channel or metadata key of a
-malformed input, and the file of one that is not a block CSV at all.
+count that differs from its channel count when it is made. A block is
+stored as CSV by :mod:`pmufdi.report`, which owns every file format of
+the package.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import types
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -33,8 +23,6 @@ from .cases import GridCase
 from .loads import DisturbancePolicy, perturb_loads
 from .measurements import DependencyMatrix, PmuPlan, build_measurement_matrix
 from .powerflow import PowerFlowError, solve_ac_power_flow
-
-_FMT = "%.17g"
 
 
 @dataclass(frozen=True)
@@ -197,98 +185,3 @@ def singular_spectrum(block: MeasurementBlock) -> np.ndarray:
         raise ValueError("empty measurement block")
     return np.linalg.svd(block.z, compute_uv=False)
 
-
-def _format_complex(value: complex) -> str:
-    # the sign comes from the sign bit, so an imaginary part of -0.0 keeps it
-    sign = "-" if math.copysign(1.0, value.imag) < 0 else "+"
-    return f"{_FMT % value.real}{sign}{_FMT % abs(value.imag)}j"
-
-
-def csv_text(rows) -> str:
-    """*rows* (cell sequences) as CSV lines, each ending in "\n" alone.
-    Every cell that holds a "\r" or a "\n" is quoted, so that
-    ``csv.reader`` on a file opened with ``newline=""`` reads it back."""
-    lines: list[str] = []
-    # with "\r\n" as its terminator the writer quotes every such cell
-    sink = types.SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n"))
-    csv.writer(sink, lineterminator="\r\n").writerows(rows)
-    return "".join(lines)
-
-
-def write_block_csv(block: MeasurementBlock, path: str | Path) -> None:
-    """CSV layout: "# key: value" metadata, then t + channel labels header,
-    then one row per instant with complex entries as "<re><+/-><im>j".
-    """
-    meta = (f"# pmufdi-block: 1\n"
-            f"# rate_hz: {_FMT % block.rate_hz}\n"
-            f"# start_index: {block.start_index}\n"
-            f"# dependency: {block.dependency_digest}\n"
-            f"# attacked: {int(block.attacked)}\n")
-    table = csv_text([["t", *block.labels],
-                      *([block.start_index + k, *(_format_complex(z) for z in block.z[k])]
-                        for k in range(block.n_steps))])
-    Path(path).write_text(meta + table)
-
-
-def read_block_csv(path: str | Path) -> MeasurementBlock:
-    """Read the layout of :func:`write_block_csv`. A malformed file, one
-    whose t column does not count up by one from start_index among them,
-    raises ValueError naming the file and the bad sample, channel or
-    metadata key.
-    """
-    try:
-        with open(path, newline="") as fh:
-            table = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise ValueError(f"{path}: not a block CSV ({exc})") from None
-    meta = {}
-    samples = []
-    rows = []
-    labels: tuple[str, ...] | None = None
-    for row in table:
-        if not row:
-            continue
-        if row[0].startswith("#"):
-            key, _, value = row[0].lstrip("# ").partition(":")
-            meta[key.strip()] = value.strip()
-            continue
-        if labels is None:          # a block of no channels has a header of "t" alone
-            labels = tuple(row[1:])
-            continue
-        if len(row) != len(labels) + 1:
-            raise ValueError(f"{path}: sample {row[0]} has {len(row) - 1} "
-                             f"entries, expected {len(labels)}")
-        entries = []
-        for label, cell in zip(labels, row[1:]):
-            try:
-                entries.append(complex(cell))
-            except ValueError:
-                raise ValueError(f"{path}: sample {row[0]}, channel {label!r}: "
-                                 f"bad entry {cell!r}") from None
-        samples.append(row[0])
-        rows.append(entries)
-    if not rows:
-        raise ValueError(f"{path}: no measurement rows")
-
-    def number(key, convert, default=None):
-        text = meta.get(key, default)
-        if text is None:
-            raise ValueError(f"{path}: missing '# {key}:' line")
-        try:
-            return convert(text)
-        except ValueError:
-            raise ValueError(f"{path}: bad '# {key}:' value {text!r}") from None
-
-    start = number("start_index", int)
-    for k, sample in enumerate(samples):
-        if sample != str(start + k):
-            raise ValueError(f"{path}: sample {sample} out of order, "
-                             f"expected sample {start + k}")
-    return MeasurementBlock(
-        z=np.array(rows, dtype=complex),
-        rate_hz=number("rate_hz", float),
-        start_index=start,
-        labels=labels,
-        dependency_digest=meta.get("dependency", ""),
-        attacked=bool(number("attacked", int, "0")),
-    )

@@ -15,12 +15,13 @@ from pathlib import Path
 import click
 
 from .attack import design_attack
-from .blocks import read_block_csv, singular_spectrum, write_block_csv
+from .blocks import singular_spectrum
 from .detector import classify_outcome, detect
 from .experiment import ExperimentConfig, lambda_sweep, load_config, run_experiment
+from .kernels import nuclear_norm
 from .measurements import build_measurement_matrix
-from .report import (SpectrumRow, SweepRow, save_report, spectrum_rows, write_records,
-                     write_table)
+from .report import (SpectrumRow, SweepRow, read_block_csv, save_report, spectrum_rows,
+                     write_block_csv, write_records, write_table)
 
 log = logging.getLogger("pmufdi")
 
@@ -71,12 +72,9 @@ def generate(config_path, seed, out_dir):
     cfg = _load(config_path, seed, out_dir)
     _, block, _ = cfg.build_block()
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_block_csv(block, out / "block.csv")
-    write_records(out / "spectrum.csv", SpectrumRow,
-                  spectrum_rows("full", singular_spectrum(block)))
-    click.echo(str(out / "block.csv"))
-    click.echo(str(out / "spectrum.csv"))
+    click.echo(str(write_block_csv(block, out / "block.csv")))
+    click.echo(str(write_records(out / "spectrum.csv", SpectrumRow,
+                                 spectrum_rows("full", singular_spectrum(block)))))
 
 
 @main.command()
@@ -92,17 +90,17 @@ def attack(config_path, seed, out_dir, buses, window_index):
         raise click.BadParameter(f"window must be in 1..{len(cfg.windows)}")
     _, block, dep = cfg.build_block()
     first, last = cfg.windows[window_index - 1]
-    scen = design_attack(block.window(first, last), dep, buses)
+    window = block.window(first, last)
+    scen = design_attack(window, dep, buses)
+    clean = nuclear_norm(window.z)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_block_csv(scen.attacked_block, out / "attacked_block.csv")
+    path = write_block_csv(scen.attacked_block, out / "attacked_block.csv")
     write_table(out / "attack.csv",
                 ["set_size", "buses", "clean_nuclear", "attacked_nuclear", "ratio"],
                 [(len(scen.attacked_buses), scen.attacked_buses,
-                  scen.baseline_objective, scen.objective,
-                  scen.objective / scen.baseline_objective)])
-    click.echo(f"objective {scen.objective:.6g} (clean {scen.baseline_objective:.6g})")
-    click.echo(str(out / "attacked_block.csv"))
+                  clean, scen.objective, scen.objective / clean)])
+    click.echo(f"objective {scen.objective:.6g} (clean {clean:.6g})")
+    click.echo(str(path))
 
 
 @main.command("detect")

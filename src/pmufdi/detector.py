@@ -327,7 +327,8 @@ def _decompose(
         if base is not None:
             image, base_residual = base
             base = None
-            # the safeguard, which also turns away a non-finite step
+            # the safeguard; a non-finite extrapolated point never gets
+            # here, since svt raises ValueError on it at the M-step above
             if not residual < base_residual:
                 rejected += 1
                 c, cg, u = image

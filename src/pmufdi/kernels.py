@@ -128,16 +128,22 @@ class SolverDiagnostics:
     rank: int | None = None
 
 
-def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
+def _scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """*m* as an array, and 2**e, the power of two just above its largest
+    entry magnitude (1 for a zero m, and 2**1023, the largest power of
+    two, for entries beyond it). Scaling by 2**-e is exact outside the
+    subnormal range, and the squares of the scaled entries do not
+    overflow. Raises ValueError if an entry is not finite."""
     m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return m
+    top = float(np.max(np.abs(m), initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("matrix contains non-finite entries")
+    return m, 2.0 ** min(math.frexp(top)[1], 1023)
 
 
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
-    m = _require_finite(m, "matrix")
+    m, _ = _scaled(m)
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
@@ -150,9 +156,9 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     eigenvalues above max(tau^2, max(shape) eps lambda_max). The second
     term is numpy's ``matrix_rank`` cut applied to lambda: below it an
     eigenvalue is rounding noise of the Gram, and its direction counts as
-    a zero singular value. The entries are first scaled by a power of
-    two, which is exact, so that the Gram neither overflows nor
-    underflows.
+    a zero singular value. The entries are first scaled by the power of
+    two of :func:`_scaled`, which is exact, so that the Gram neither
+    overflows nor underflows.
 
     Against the exact prox the Frobenius error is at most
     ||E||_F / (2 tau) + sqrt(k) max(0, sqrt(f + ||E||_F) - tau), plus the
@@ -170,11 +176,9 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     """
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
-    m = _require_finite(m, "matrix")
+    m, scale = _scaled(m)
     wide = m.shape[0] <= m.shape[1]
-    a = m if wide else m.conj().T
-    scale = 2.0 ** math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
-    a = a / scale
+    a = (m if wide else m.conj().T) / scale
     tau = tau / scale
     lam, q = np.linalg.eigh(a @ a.conj().T)
     keep = lam > max(tau * tau, max(m.shape) * _EPS * lam.max(initial=0.0))
@@ -187,18 +191,22 @@ def shrink_columns(c: np.ndarray, kappa: float) -> np.ndarray:
     """Per-column soft shrinkage, the prox of kappa * (sum of column norms).
 
     Column j maps to max(1 - kappa/||c_j||, 0) * c_j; columns with norm at
-    or below kappa (including zero columns) map to exactly zero.
+    or below kappa (including zero columns) map to exactly zero. The norms
+    are taken on c scaled by the power of two of :func:`_scaled`, so that
+    they do not overflow.
     """
     if not kappa >= 0:
         raise ValueError("kappa must be >= 0")
-    c = _require_finite(c, "matrix")
-    norms = np.linalg.norm(c, axis=0)
+    c, unit = _scaled(c)
+    # a product with the exact reciprocal of the power of two costs a
+    # fraction of a complex division
+    norms = unit * np.linalg.norm(c * (1.0 / unit), axis=0)
     scale = np.zeros_like(norms)
     np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
     return c * scale
 
 
 def l12_norm(c: np.ndarray) -> float:
-    """Sum of Euclidean column norms."""
-    c = _require_finite(c, "matrix")
-    return float(np.sum(np.linalg.norm(c, axis=0)))
+    """Sum of Euclidean column norms, taken as in :func:`shrink_columns`."""
+    c, unit = _scaled(c)
+    return float(np.sum(unit * np.linalg.norm(c * (1.0 / unit), axis=0)))

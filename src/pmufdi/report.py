@@ -1,4 +1,4 @@
-"""Report rows and the one table format every CSV of the package uses.
+"""Report rows, and the one module that writes and reads the package's files.
 
 A table is CSV with a header line and ``\\n`` line ends. Floats are
 written with 17 significant digits, so they read back to the same value;
@@ -11,6 +11,17 @@ sign bit is set, and reads back as the quiet NaN of that sign,
 atomically, creating its directory. A dataclass fixes a table's columns:
 :func:`write_records` takes them from its fields in order and
 :func:`read_records` converts each column by its field's annotated type.
+Both readers skip blank lines, and a file that does not decode as text
+raises ValueError naming it.
+
+A measurement block is stored in the same CSV dialect and number format
+by :func:`write_block_csv`: "# key: value" metadata lines, a label
+header, complex entries as "<re><+/-><im>j" with the sign bit of every
+part kept, and a t column of sample indices counting up by one from
+start_index. A block of no channels keeps its header of "t" alone.
+:func:`read_block_csv` names the file and the bad sample, channel or
+metadata key of a malformed input, and the file of one that is not a
+block CSV at all.
 
 An experiment report is ``scenarios.csv``, ``aggregates.csv``,
 ``spectrum.csv``, an optional ``trace.csv``, ``meta.json`` and gnuplot
@@ -28,6 +39,7 @@ import dataclasses
 import json
 import math
 import os
+import types
 import typing
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocks import csv_text
+from .blocks import MeasurementBlock
 from .detector import Outcome
 
 
@@ -181,7 +193,7 @@ def aggregate_rows(rows) -> tuple[AggregateRow, ...]:
 
 
 # ---------------------------------------------------------------------------
-# the table format
+# the file formats
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -202,6 +214,29 @@ def _ids(text: str) -> tuple[int, ...]:
 _PARSERS = {int: int, float: float, str: str, tuple[int, ...]: _ids}
 
 
+def _csv_text(rows) -> str:
+    """*rows* (cell sequences) as CSV lines, each ending in "\n" alone.
+    Every cell that holds a "\r" or a "\n" is quoted, so that
+    ``csv.reader`` on a file opened with ``newline=""`` reads it back."""
+    lines: list[str] = []
+    # with "\r\n" as its terminator the writer quotes every such cell
+    sink = types.SimpleNamespace(write=lambda line: lines.append(line[:-2] + "\n"))
+    csv.writer(sink, lineterminator="\r\n").writerows(rows)
+    return "".join(lines)
+
+
+def _csv_rows(path: str | Path, kind: str) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of the CSV file *path*, each with the line it
+    ends on; a file that does not decode raises ValueError naming it as
+    not a *kind*."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            return [(reader.line_num, cells) for cells in reader if cells]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValueError(f"{path}: not a {kind} ({exc})") from None
+
+
 def write_text(path: str | Path, content: str) -> Path:
     """Replace *path* with *content* atomically, creating its directory."""
     path = Path(path)
@@ -214,7 +249,7 @@ def write_text(path: str | Path, content: str) -> Path:
 
 def write_table(path: str | Path, header, rows) -> Path:
     """Write *header* and then each of *rows* (value sequences) as one table."""
-    return write_text(path, csv_text([header, *([_fmt(v) for v in row] for row in rows)]))
+    return write_text(path, _csv_text([header, *([_fmt(v) for v in row] for row in rows)]))
 
 
 def write_records(path: str | Path, cls, records) -> Path:
@@ -233,9 +268,7 @@ def read_records(path: str | Path, cls) -> tuple:
     """
     hints = typing.get_type_hints(cls)
     names = [f.name for f in dataclasses.fields(cls)]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        lines = [(reader.line_num, cells) for cells in reader if cells]
+    lines = _csv_rows(path, "table")
     header = lines.pop(0)[1] if lines else None
     if header != names:
         raise ValueError(f"{path}: columns {header}, expected {names}")
@@ -254,6 +287,82 @@ def read_records(path: str | Path, cls) -> tuple:
                                  f"bad value {cell!r}") from None
         records.append(cls(**values))
     return tuple(records)
+
+
+def _complex_cell(value: complex) -> str:
+    # the sign comes from the sign bit, so an imaginary part of -0.0 keeps it
+    sign = "-" if math.copysign(1.0, value.imag) < 0 else "+"
+    return f"{_fmt(value.real)}{sign}{_fmt(abs(value.imag))}j"
+
+
+def write_block_csv(block: MeasurementBlock, path: str | Path) -> Path:
+    """Write *block* atomically in the module docstring's layout; return the path."""
+    meta = (f"# pmufdi-block: 1\n"
+            f"# rate_hz: {_fmt(float(block.rate_hz))}\n"
+            f"# start_index: {block.start_index}\n"
+            f"# dependency: {block.dependency_digest}\n"
+            f"# attacked: {int(block.attacked)}\n")
+    table = _csv_text([["t", *block.labels],
+                       *([block.start_index + k, *map(_complex_cell, row)]
+                         for k, row in enumerate(block.z.tolist()))])
+    return write_text(path, meta + table)
+
+
+def read_block_csv(path: str | Path) -> MeasurementBlock:
+    """Read the layout of :func:`write_block_csv`. A malformed file, one
+    whose t column does not count up by one from start_index among them,
+    raises ValueError naming the file and the bad sample, channel or
+    metadata key.
+    """
+    meta = {}
+    samples = []
+    rows = []
+    labels: tuple[str, ...] | None = None
+    for _, row in _csv_rows(path, "block CSV"):
+        if row[0].startswith("#"):
+            key, _, value = row[0].lstrip("# ").partition(":")
+            meta[key.strip()] = value.strip()
+            continue
+        if labels is None:          # a block of no channels has a header of "t" alone
+            labels = tuple(row[1:])
+            continue
+        if len(row) != len(labels) + 1:
+            raise ValueError(f"{path}: sample {row[0]} has {len(row) - 1} "
+                             f"entries, expected {len(labels)}")
+        entries = []
+        for label, cell in zip(labels, row[1:]):
+            try:
+                entries.append(complex(cell))
+            except ValueError:
+                raise ValueError(f"{path}: sample {row[0]}, channel {label!r}: "
+                                 f"bad entry {cell!r}") from None
+        samples.append(row[0])
+        rows.append(entries)
+    if not rows:
+        raise ValueError(f"{path}: no measurement rows")
+
+    def number(key, convert, default=None):
+        text = meta.get(key, default)
+        if text is None:
+            raise ValueError(f"{path}: missing '# {key}:' line")
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValueError(f"{path}: bad '# {key}:' value {text!r}") from None
+
+    start = number("start_index", int)
+    for k, sample in enumerate(samples):
+        if sample != str(start + k):
+            raise ValueError(f"{path}: sample {sample} out of order, "
+                             f"expected sample {start + k}")
+    return MeasurementBlock(
+        z=np.array(rows, dtype=complex),
+        rate_hz=number("rate_hz", float),
+        start_index=start,
+        labels=labels,
+        dependency_digest=meta.get("dependency", ""),
+        attacked=bool(number("attacked", int, "0")),
+    )
 
 
 # ---------------------------------------------------------------------------

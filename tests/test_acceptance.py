@@ -18,7 +18,7 @@ from pmufdi.attack import naive_ramp_attack, _minimize_postattack_norm
 from pmufdi import experiment
 from pmufdi.detector import Outcome, _decompose, detect
 from pmufdi.experiment import load_config, run_experiment
-from pmufdi.kernels import SolverOptions, l12_norm, nuclear_norm, shrink_columns, svt
+from pmufdi.kernels import SolverError, SolverOptions, l12_norm, nuclear_norm, shrink_columns, svt
 from pmufdi.report import save_report
 
 from conftest import record_acceptance, recording_mstep_ratios
@@ -138,6 +138,26 @@ def test_criterion_3_naive_attacks_are_detected(ieee24_blocks, ieee24_plan):
     check(3, "naive ramp attacks are detected with exact support recovery "
              "in at least 90% of 50 trials",
           hits >= 45, f"{hits}/{trials} exact recoveries")
+
+
+def test_criterion_3_holds_on_the_118_bus_system(ieee118_blocks, ieee118_plan):
+    # criterion 3 on the 1-3 s window of the 118-bus block, at 10 trials:
+    # one detection there runs a few hundred iterations
+    _, block, dep = ieee118_blocks
+    window = block.window(31, 90)
+    population = ieee118_plan.voltage_buses
+    rng = np.random.default_rng(118)
+    hits = 0
+    for _ in range(10):
+        bus = int(population[rng.integers(0, len(population))])
+        _, attacked = naive_ramp_attack(window, dep, (bus,), scale=0.5,
+                                        seed=int(rng.integers(0, 2**31)))
+        try:
+            result = pmufdi.detect(attacked, dep, weight=1.05)
+        except SolverError:
+            continue
+        hits += result.state_support == (bus,)
+    assert hits >= 9, f"{hits}/10 exact recoveries"
 
 
 def test_criterion_4_118_bus_ratio_bands(report118):

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pmufdi.blocks import (
-    MeasurementBlock,
-    generate_block,
-    read_block_csv,
-    singular_spectrum,
-    write_block_csv,
-)
+from pmufdi.blocks import MeasurementBlock, generate_block, singular_spectrum
+from pmufdi.report import read_block_csv, write_block_csv
 
 
 def test_block_shape_and_metadata(ieee24_blocks):
@@ -133,6 +128,14 @@ def test_csv_round_trip(tmp_path, ieee24_blocks):
     assert back.start_index == block.start_index
     assert back.dependency_digest == block.dependency_digest
     assert back.attacked == block.attacked
+
+
+def test_csv_written_atomically_into_a_new_directory(tmp_path, ieee24_blocks):
+    _, block, _ = ieee24_blocks
+    path = tmp_path / "a" / "b" / "block.csv"
+    assert write_block_csv(block, path) == path
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["block.csv"]
+    assert np.array_equal(read_block_csv(path).z, block.z)
 
 
 # finite parts only, as a block holds: signed zeros, subnormals and the

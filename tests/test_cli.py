@@ -3,7 +3,7 @@ import re
 import pytest
 from click.testing import CliRunner
 
-from pmufdi.blocks import read_block_csv
+from pmufdi.report import read_block_csv
 from pmufdi.cli import main
 
 CONFIG = """\

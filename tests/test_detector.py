@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import pmufdi.detector
 from pmufdi.attack import design_attack, naive_ramp_attack, SolverDiagnostics
 from pmufdi.attack_sets import enumerate_attack_sets
-from pmufdi.blocks import generate_block, read_block_csv, write_block_csv
+from pmufdi.blocks import generate_block
+from pmufdi.report import read_block_csv, write_block_csv
 from pmufdi.detector import (
     DetectionResult,
     Outcome,

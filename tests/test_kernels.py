@@ -94,6 +94,11 @@ def test_svt_rejects_bad_input():
         svt(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0)
     with pytest.raises(ValueError):
         svt(np.array([[complex(1.0, np.inf), 0.0], [0.0, 1.0]]), 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.array([[bad, 0.0], [0.0, 1.0]])
+        for kernel in (lambda a: shrink_columns(a, 1.0), nuclear_norm, l12_norm):
+            with pytest.raises(ValueError, match="non-finite"):
+                kernel(m)
 
 
 # --- column shrinkage -------------------------------------------------------
@@ -235,6 +240,16 @@ def test_svt_scales_exactly_by_powers_of_two():
         for a in (m, m.T):
             assert np.array_equal(svt(a * 2.0 ** shift, 0.3 * 2.0 ** shift),
                                   svt(a, 0.3) * 2.0 ** shift)
+            # the column norms as well: squares of entries beyond ~1e154
+            # would overflow them
+            assert np.array_equal(shrink_columns(a * 2.0 ** shift, 0.3 * 2.0 ** shift),
+                                  shrink_columns(a, 0.3) * 2.0 ** shift)
+            assert l12_norm(a * 2.0 ** shift) == l12_norm(a) * 2.0 ** shift
+    # entries beyond 2**1023, the largest power of two, scale by it
+    big = np.array([[2.0 ** 1023], [2.0 ** 1022]])
+    assert np.array_equal(svt(big, 0.0), big)
+    assert np.array_equal(shrink_columns(big, 0.0), big)
+    assert l12_norm(big) == 2.0 ** 1023 * math.sqrt(1.25)
 
 
 def test_kernels_deterministic():

@@ -1,15 +1,18 @@
 """The table format: every row type reads back bit for bit, and a
 malformed table names its file, line and column."""
 
+import ast
 import dataclasses
 import math
 import struct
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pmufdi
 from pmufdi.report import (
     AggregateRow,
     ScenarioRow,
@@ -103,3 +106,49 @@ def test_malformed_table_names_the_cause(tmp_path, edit, cause):
     with pytest.raises(ValueError, match=cause) as err:
         read_records(path, ScenarioRow)
     assert str(path) in str(err.value)
+
+
+def test_undecodable_table_names_the_file(tmp_path):
+    path = tmp_path / "scenarios.csv"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(ValueError, match="not a table") as err:
+        read_records(path, ScenarioRow)
+    assert str(path) in str(err.value)
+
+
+def _file_writes(tree):
+    """The calls in *tree* that may write a file: .write_text,
+    .write_bytes, .mkdir, os.replace, and open with a mode that writes,
+    appends, creates or updates, or one that is not a literal."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name in ("write_text", "write_bytes", "mkdir"):
+            yield node
+        elif name == "replace" and isinstance(getattr(fn, "value", None), ast.Name) \
+                and fn.value.id == "os":
+            yield node
+        elif name == "open":
+            # the mode is the builtin's second argument and a method's first
+            args = node.args[1:] if isinstance(fn, ast.Name) else node.args
+            mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                        args[0] if args else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) \
+                    or set(mode.value) & set("wax+"):
+                yield node
+
+
+def test_only_the_report_module_writes_files():
+    # every file goes through report.write_text, which is atomic and
+    # creates its directory
+    package = Path(pmufdi.__file__).parent
+    writes = [f"{path.name}:{node.lineno}"
+              for path in sorted(package.glob("*.py")) if path.name != "report.py"
+              for node in _file_writes(ast.parse(path.read_text()))]
+    assert writes == []
+    # the scan sees each kind of write
+    probe = ast.parse("p.write_text(s); p.write_bytes(b); p.mkdir(); os.replace(a, b); "
+                      "open(p, 'a'); p.open('w+'); open(p, mode=m); open(p); p.open()")
+    assert len(list(_file_writes(probe))) == 7
