@@ -82,7 +82,9 @@ class SolverOptions:
 
     *max_iter* is the iteration budget, after which :class:`SolverError`
     is raised. Convergence requires both residuals to fall below
-    ``tol_rel * ||data||_F``.
+    ``tol_rel * ||data||_F``. *tol_rel* must lie in (0, 1): the
+    detector's screen compares it with a relative duality gap, which is
+    at most 1, so a tolerance of 1 or more would certify every block.
     """
     max_iter: int = 5000
     tol_rel: float = 1e-7
@@ -90,8 +92,8 @@ class SolverOptions:
     def __post_init__(self):
         if not self.max_iter >= 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol_rel > 0:
-            raise ValueError("tol_rel must be positive")
+        if not 0 < self.tol_rel < 1:
+            raise ValueError(f"tol_rel must be in (0, 1), got {self.tol_rel!r}")
 
 
 class SolverError(RuntimeError):
@@ -130,15 +132,26 @@ class SolverDiagnostics:
 
 def _scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
     """*m* as an array, and 2**e, the power of two just above its largest
-    entry magnitude (1 for a zero m, and 2**1023, the largest power of
-    two, for entries beyond it). Scaling by 2**-e is exact outside the
-    subnormal range, and the squares of the scaled entries do not
+    entry magnitude (1 for a zero m; 2**1023, the largest power of two,
+    for entries beyond it; 2**-1022, the least normal one, for entries
+    below it, so that 2**-e is finite). Scaling by 2**-e is exact outside
+    the subnormal range, and the squares of the scaled entries do not
     overflow. Raises ValueError if an entry is not finite."""
     m = np.asarray(m)
     top = float(np.max(np.abs(m), initial=0.0))
     if not math.isfinite(top):
         raise ValueError("matrix contains non-finite entries")
-    return m, 2.0 ** min(math.frexp(top)[1], 1023)
+    return m, 2.0 ** min(max(math.frexp(top)[1], -1022), 1023)
+
+
+def _times(m: np.ndarray, factor: float) -> np.ndarray:
+    """*m* times the real *factor*, taken on the real view of a complex m.
+    numpy's complex product would also multiply by the factor's zero
+    imaginary part, which costs more and can flip the sign of a zero."""
+    if not np.iscomplexobj(m):
+        return m * factor
+    m = np.ascontiguousarray(m)
+    return (m.view(m.real.dtype) * factor).view(m.dtype)
 
 
 def nuclear_norm(m: np.ndarray) -> float:
@@ -178,7 +191,11 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
         raise ValueError("tau must be >= 0")
     m, scale = _scaled(m)
     wide = m.shape[0] <= m.shape[1]
-    a = (m if wide else m.conj().T) / scale
+    # scaled before the tall side turns: the turned side is not
+    # C-contiguous, and _times would copy it into another layout
+    a = _times(m, 1.0 / scale)
+    if not wide:
+        a = a.conj().T
     tau = tau / scale
     lam, q = np.linalg.eigh(a @ a.conj().T)
     keep = lam > max(tau * tau, max(m.shape) * _EPS * lam.max(initial=0.0))
@@ -200,7 +217,7 @@ def shrink_columns(c: np.ndarray, kappa: float) -> np.ndarray:
     c, unit = _scaled(c)
     # a product with the exact reciprocal of the power of two costs a
     # fraction of a complex division
-    norms = unit * np.linalg.norm(c * (1.0 / unit), axis=0)
+    norms = unit * np.linalg.norm(_times(c, 1.0 / unit), axis=0)
     scale = np.zeros_like(norms)
     np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
     return c * scale
@@ -209,4 +226,4 @@ def shrink_columns(c: np.ndarray, kappa: float) -> np.ndarray:
 def l12_norm(c: np.ndarray) -> float:
     """Sum of Euclidean column norms, taken as in :func:`shrink_columns`."""
     c, unit = _scaled(c)
-    return float(np.sum(unit * np.linalg.norm(c * (1.0 / unit), axis=0)))
+    return float(np.sum(unit * np.linalg.norm(_times(c, 1.0 / unit), axis=0)))

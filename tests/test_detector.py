@@ -19,6 +19,7 @@ from pmufdi.detector import (
     classify_outcome,
     detect,
     identify_support,
+    _column_space_rank,
     _decompose,
     _screen_gap,
 )
@@ -190,6 +191,14 @@ def test_weight_must_be_positive(ieee24_blocks):
         detect(block.window(31, 90), dep, weight=float("nan"))
 
 
+def test_an_infinite_weight_is_refused(ieee24_blocks):
+    # every kappa_r of the screen would read 0, so it would certify
+    # every block, a naive ramp included, as a bypass
+    _, block, dep = ieee24_blocks
+    with pytest.raises(ValueError, match="weight"):
+        detect(block.window(31, 90), dep, weight=float("inf"))
+
+
 def test_small_instances_match_subgradient_reference():
     rng = np.random.default_rng(200)
     for trial in range(3):
@@ -262,10 +271,19 @@ def _full_height(block, dep, weight, options, thresholds):
     return dataclasses.replace(result, state_support=state, channel_support=channel)
 
 
+def _cut_rank(zbar, tol_rel):
+    """The documented height of the column-space block: the least k whose
+    cut block, Zbar's singular values beyond the k-th, has Frobenius norm
+    at most 1e-3 tol_rel ||Zbar||_F."""
+    s = np.linalg.svd(zbar, full_matrices=False)[1]
+    bound = 1e-3 * tol_rel * np.linalg.norm(s)
+    return next(k for k in range(s.size + 1) if np.linalg.norm(s[k:]) <= bound)
+
+
 def _assert_matches_full_height(block, dep, kwargs, result, injected):
     tol = kwargs["options"].tol_rel
     full = _full_height(block, dep, **kwargs)
-    assert result.diagnostics.rank == np.linalg.matrix_rank(block.z) < block.n_steps
+    assert result.diagnostics.rank == _cut_rank(block.z, tol) < block.n_steps
     assert result.state_support == full.state_support
     assert result.channel_support == full.channel_support
     assert classify_outcome(result, injected) is classify_outcome(full, injected)
@@ -302,7 +320,8 @@ def test_column_space_solve_matches_the_full_height_solve_on_naive_ramps(seed, m
 
 
 def test_m_step_runs_on_the_column_space(detect_calls, monkeypatch, tmp_path):
-    # every svt input has rank(Zbar) <= n_states rows, not the window's 60
+    # every svt input has the documented cut's k <= n_states rows, not the
+    # window's 60
     shapes = []
     threshold = pmufdi.detector.svt
 
@@ -314,14 +333,47 @@ def test_m_step_runs_on_the_column_space(detect_calls, monkeypatch, tmp_path):
     calls = detect_calls(load_config(CONFIG_DIR / "ieee24.yaml", limit=3,
                                      out_dir=str(tmp_path)))
     expected = []
-    for block, dep, _, result in calls:
+    for block, dep, kwargs, result in calls:
         if result.diagnostics.iterations:
             k = result.diagnostics.rank
-            assert k == np.linalg.matrix_rank(block.z) <= dep.n_states < block.n_steps
+            tol = kwargs["options"].tol_rel
+            assert k == _cut_rank(block.z, tol) <= dep.n_states < block.n_steps
             expected += [(k, dep.n_measurements)] * result.diagnostics.iterations
         else:
             assert result.diagnostics.rank is None
     assert expected and shapes == expected
+
+
+@given(decays=st.lists(st.floats(0.0, 14.0), max_size=60), zeros=st.integers(0, 5),
+       tol_rel=st.sampled_from([1e-7, 1e-10]) | st.floats(1e-12, 0.9))
+def test_column_space_cut_is_the_least_height_within_its_bound(decays, zeros, tol_rel):
+    # a descending spectrum led by 1 over up to fourteen decades, with
+    # exact zeros at its tail: the rows cut away weigh at most
+    # 1e-3 tol_rel ||Zbar||_F, and one row fewer would weigh more
+    s = np.append(10.0 ** -np.sort(np.append(0.0, decays)), np.zeros(zeros))
+    bound = 1e-3 * tol_rel * np.linalg.norm(s)
+    k = _column_space_rank(s, tol_rel)
+    assert 1 <= k <= s.size - zeros
+    assert np.linalg.norm(s[k:]) <= bound < np.linalg.norm(s[k - 1:])
+    # and the cut does not overflow or underflow far from unit scale
+    for shift in (-900, 900):
+        assert _column_space_rank(s * 2.0 ** shift, tol_rel) == k
+
+
+def test_loop_runs_on_at_most_11_rows_in_the_shipped_regimes(detect_calls, tmp_path):
+    # the 38 unscreened 24-bus experiment rows and the 18 naive ramps of the
+    # benchmark at seed 2024: numpy's matrix_rank cut kept 17-18 and 13-19
+    # rows, the documented cut keeps 9-10 and 6-11
+    cfg = load_config(CONFIG_DIR / "ieee24.yaml", out_dir=str(tmp_path))
+    ranks = [result.diagnostics.rank for *_, result in detect_calls(cfg)
+             if result.diagnostics.iterations]
+    ramps, dep, cfg = _naive_ramps(2024)
+    for _, attacked in ramps:
+        result = detect(attacked, dep, weight=cfg.weight, options=cfg.solver,
+                        thresholds=cfg.thresholds)
+        ranks.append(result.diagnostics.rank)
+    assert len(ranks) == 38 + 18
+    assert max(ranks) <= 11
 
 
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(10, 60), rank=st.integers(1, 6),
@@ -361,7 +413,7 @@ def test_column_space_solve_ignores_zero_rows_and_row_rotations(
         assert other.objective == pytest.approx(result.objective, rel=SolverOptions().tol_rel)
     k = np.linalg.matrix_rank(zbar)
     if result.diagnostics.iterations:
-        assert result.diagnostics.rank == k
+        assert result.diagnostics.rank == _cut_rank(zbar, SolverOptions().tol_rel)
     # M and C lie in range(Zbar)
     u = np.linalg.svd(zbar)[0][:, :k]
     for part in (result.z_lowrank, result.c):
@@ -498,6 +550,12 @@ def test_threshold_policy_range():
         with pytest.raises(ValueError, match=name):
             ThresholdPolicy(**bad)
     assert ThresholdPolicy(rel=0.0, floor=0.0).rel == 0.0
+
+
+def test_threshold_policy_refuses_an_infinite_floor():
+    # an infinite floor would flag no column at all
+    with pytest.raises(ValueError, match="floor"):
+        ThresholdPolicy(floor=float("inf"))
 
 
 def test_classify_outcome_table():

@@ -156,6 +156,14 @@ def test_config_validation_errors():
         small_cfg(solver=SolverOptions(max_iter=2.5))
 
 
+def test_a_tolerance_that_certifies_every_block_is_refused():
+    # with tol_rel: 1.0 the screen certified every block, and the sweep
+    # read the 24-bus naive ramp at lambda = 1.05 as bypassed
+    for bad in (1.0, 2.5):
+        with pytest.raises(ConfigError, match=re.escape("solver: tol_rel")):
+            config_from_mapping({"system": "ieee24", "solver": {"tol_rel": bad}})
+
+
 # YAML-shaped values: scalars, and lists and mappings of them, with keys
 # that the config and its sections know among the others
 CONFIG_KEYS = ("system", "case", "plan", "duration_s", "rate_hz", "windows", "seed", "lambda",

@@ -252,6 +252,16 @@ def test_svt_scales_exactly_by_powers_of_two():
     assert l12_norm(big) == 2.0 ** 1023 * math.sqrt(1.25)
 
 
+def test_kernels_take_subnormal_matrices():
+    # entries below 2**-1022 scale by it, so the reciprocal of the scale
+    # stays finite
+    m = np.array([[1e-320 + 0j], [-1e-321j]])
+    assert np.array_equal(shrink_columns(m, 0.0), m)
+    assert l12_norm(m) == math.hypot(1e-320, 1e-321)
+    assert np.array_equal(svt(m, 0.0), m)
+    assert not np.any(svt(m, 1e-319))
+
+
 def test_kernels_deterministic():
     rng = np.random.default_rng(10)
     m = random_complex(rng, (6, 8))
@@ -267,3 +277,12 @@ def test_solver_options_validation():
         SolverOptions(tol_rel=0.0)
     with pytest.raises(ValueError):
         SolverOptions(tol_rel=float("nan"))
+
+
+def test_solver_options_refuse_a_tolerance_of_one_or_more():
+    # every relative duality gap is at most 1, so the detector's screen
+    # would certify every block
+    for bad in (1.0, 2.0, float("inf")):
+        with pytest.raises(ValueError, match="tol_rel"):
+            SolverOptions(tol_rel=bad)
+    assert SolverOptions(tol_rel=0.5).tol_rel == 0.5
