@@ -25,20 +25,15 @@ from .cases import Branch, Bus, CaseError, CaseSyntaxError, Generator, GridCase,
 from .detector import (
     DetectionResult,
     Outcome,
+    SolverDiagnostics,
+    SolverError,
+    SolverOptions,
     ThresholdPolicy,
     classify_outcome,
     detect,
     identify_support,
 )
-from .kernels import (
-    SolverDiagnostics,
-    SolverError,
-    SolverOptions,
-    l12_norm,
-    nuclear_norm,
-    shrink_columns,
-    svt,
-)
+from .kernels import l12_norm, nuclear_norm, shrink_columns, svt
 from .loads import DisturbancePolicy, LoadTrajectory, perturb_loads
 from .measurements import (
     DependencyMatrix,

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import MeasurementBlock
+from .detector import SolverDiagnostics
 from .kernels import (
-    SolverDiagnostics,
     nuclear_norm,
     svt,  # not called here; perfbench/tracer.py wraps pmufdi.attack.svt
 )

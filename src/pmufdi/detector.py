@@ -127,15 +127,7 @@ from enum import Enum
 import numpy as np
 
 from .blocks import MeasurementBlock
-from .kernels import (
-    SolverDiagnostics,
-    SolverError,
-    SolverOptions,
-    l12_norm,
-    nuclear_norm,
-    shrink_columns,
-    svt,
-)
+from .kernels import l12_norm, nuclear_norm, shrink_columns, svt
 from .measurements import DependencyMatrix
 
 log = logging.getLogger(__name__)
@@ -189,6 +181,60 @@ class ThresholdPolicy:
             raise ValueError(f"rel must be in [0, 1), got {self.rel!r}")
         if not 0 <= self.floor < math.inf:
             raise ValueError(f"floor must be finite and >= 0, got {self.floor!r}")
+
+
+@dataclass(frozen=True)
+class SolverOptions:
+    """Settings of the detector's ADMM.
+
+    *max_iter* is the iteration budget, after which :class:`SolverError`
+    is raised. Convergence requires both residuals to fall below
+    ``tol_rel * ||data||_F``. *tol_rel* must lie in (0, 1): the
+    detector's screen compares it with a relative duality gap, which is
+    at most 1, so a tolerance of 1 or more would certify every block.
+    """
+    max_iter: int = 5000
+    tol_rel: float = 1e-7
+
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be >= 1")
+        if not 0 < self.tol_rel < 1:
+            raise ValueError(f"tol_rel must be in (0, 1), got {self.tol_rel!r}")
+
+
+class SolverError(RuntimeError):
+    """The detector's ADMM failed to converge or diverged; carries the
+    residuals and the iteration count at which it stopped."""
+
+    def __init__(self, message: str, primal: float, dual: float, iterations: int):
+        super().__init__(
+            f"{message}: primal residual {primal:.3e}, dual residual "
+            f"{dual:.3e} after {iterations} iterations"
+        )
+        self.primal = primal
+        self.dual = dual
+        self.iterations = iterations
+
+
+@dataclass(frozen=True)
+class SolverDiagnostics:
+    """Exit state of the detector's ADMM: every evaluation of its
+    iteration map counts in *iterations*; *extrapolated* and *rejected*
+    count the Anderson-extrapolated points the safeguard kept and
+    turned away. :func:`pmufdi.detector.detect` records *gap*, the
+    duality-gap screen's best relative gap for the point (Zbar, 0), on
+    every call, screened or not, and *rank*, the number of rows of the
+    column-space block the loop ran on, on every call that ran it; each
+    is None where no screen ran or no loop ran."""
+    iterations: int
+    primal_residual: float
+    dual_residual: float
+    rho: float
+    extrapolated: int = 0
+    rejected: int = 0
+    gap: float | None = None
+    rank: int | None = None
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from .attack import design_attack, naive_ramp_attack
 from .attack_sets import enumerate_attack_sets
 from .blocks import MeasurementBlock, generate_block, sample_count, singular_spectrum
 from .cases import GridCase, load_case
-from .detector import ThresholdPolicy, classify_outcome, detect
-from .kernels import BLAS_THREADS, SolverOptions, nuclear_norm
+from .detector import SolverOptions, ThresholdPolicy, classify_outcome, detect
+from .kernels import BLAS_THREADS, nuclear_norm
 from .loads import DisturbancePolicy
 from .measurements import DependencyMatrix, PmuPlan
 from .report import (ExperimentReport, ScenarioRow, SweepRow, TraceRow, in_set_rows,
@@ -128,6 +128,9 @@ class ExperimentConfig:
         for a, b in self.windows:
             if not (1 <= a <= b <= n_total):
                 raise ConfigError(f"window {a}..{b} outside samples 1..{n_total}")
+        labels = [self.window_label(a, b) for a, b in self.windows]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"windows must have distinct labels, got {labels}")
         if self.weight <= 0:
             raise ConfigError("lambda weight must be positive")
         if self.max_set_size < 1:
@@ -365,6 +368,7 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
         raise ConfigError(f"sweep weights must be a nonempty list of finite positives, "
                           f"got {weights}")
     case, block, dep = cfg.build_block()
+    _check_trace(cfg, case, dep)
     first, last = cfg.windows[0]
     window_block = block.window(first, last)
     buses = tuple(sorted(cfg.trace_buses))

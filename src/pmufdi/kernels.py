@@ -13,13 +13,7 @@ which costs less than the economy SVD: on a 2-core x86 host, 122
 against 150 us on a 19 x 41 block and 236 against 547 us on a 26 x 157
 one. Squaring the singular values costs accuracy in the small ones,
 so the result carries an error bound that grows as the threshold falls
-(:func:`svt`). The detector's M-step, whose threshold 1/rho is at least
-2**-20 on unit-Frobenius data, stays where that error is below
-1.3e-9 s_1.
-
-The module also holds the settings, error and diagnostics types of the
-package's one iterative solver, the detector's ADMM
-(:mod:`pmufdi.detector`).
+(:func:`svt`).
 
 Importing this module sets the OpenBLAS bundled with the numpy wheel,
 which every kernel of the package runs on, to one thread for the whole
@@ -39,7 +33,6 @@ from __future__ import annotations
 import ctypes
 import logging
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,60 +67,6 @@ def _pin_blas_threads(libs: Path) -> int | None:
 # read by the experiment's meta.json, which thereby names the thread policy
 BLAS_THREADS = _pin_blas_threads(Path(np.__file__).resolve().parent.parent
                                   / "numpy.libs")
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Settings of the detector's ADMM.
-
-    *max_iter* is the iteration budget, after which :class:`SolverError`
-    is raised. Convergence requires both residuals to fall below
-    ``tol_rel * ||data||_F``. *tol_rel* must lie in (0, 1): the
-    detector's screen compares it with a relative duality gap, which is
-    at most 1, so a tolerance of 1 or more would certify every block.
-    """
-    max_iter: int = 5000
-    tol_rel: float = 1e-7
-
-    def __post_init__(self):
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0 < self.tol_rel < 1:
-            raise ValueError(f"tol_rel must be in (0, 1), got {self.tol_rel!r}")
-
-
-class SolverError(RuntimeError):
-    """The detector's ADMM failed to converge or diverged; carries the
-    residuals and the iteration count at which it stopped."""
-
-    def __init__(self, message: str, primal: float, dual: float, iterations: int):
-        super().__init__(
-            f"{message}: primal residual {primal:.3e}, dual residual "
-            f"{dual:.3e} after {iterations} iterations"
-        )
-        self.primal = primal
-        self.dual = dual
-        self.iterations = iterations
-
-
-@dataclass(frozen=True)
-class SolverDiagnostics:
-    """Exit state of the detector's ADMM: every evaluation of its
-    iteration map counts in *iterations*; *extrapolated* and *rejected*
-    count the Anderson-extrapolated points the safeguard kept and
-    turned away. :func:`pmufdi.detector.detect` records *gap*, the
-    duality-gap screen's best relative gap for the point (Zbar, 0), on
-    every call, screened or not, and *rank*, the number of rows of the
-    column-space block the loop ran on, on every call that ran it; each
-    is None where no screen ran or no loop ran."""
-    iterations: int
-    primal_residual: float
-    dual_residual: float
-    rho: float
-    extrapolated: int = 0
-    rejected: int = 0
-    gap: float | None = None
-    rank: int | None = None
 
 
 def _scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -184,8 +123,6 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     spectra over 0-12 decades) the error stayed below 3e-10 s_1 for
     tau >= 1e-6 s_1 and below 1.3e-9 s_1 wherever the cut did not bind;
     at tau = 1e-7 s_1 on 157 columns, where it does, it reached 9e-8 s_1.
-    The detector's M-step thresholds at tau >= 9.5e-7 s_1 on both
-    shipped configs.
     """
     if not tau >= 0:
         raise ValueError("tau must be >= 0")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .cases import GridCase, parse_case
+from .cases import GridCase, load_case
 from .measurements import PmuPlan
 
 IEEE24 = "ieee24"
@@ -63,8 +63,7 @@ def bundled_case_path(name: str) -> Path:
 
 
 def load_bundled_case(name: str) -> GridCase:
-    path = bundled_case_path(name)
-    return parse_case(path.read_text(), name=path.stem)
+    return load_case(bundled_case_path(name))
 
 
 def default_plan(name: str) -> PmuPlan:

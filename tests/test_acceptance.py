@@ -16,9 +16,9 @@ import pytest
 import pmufdi
 from pmufdi.attack import naive_ramp_attack, _minimize_postattack_norm
 from pmufdi import experiment
-from pmufdi.detector import Outcome, _decompose, detect
+from pmufdi.detector import Outcome, SolverError, SolverOptions, _decompose, detect
 from pmufdi.experiment import load_config, run_experiment
-from pmufdi.kernels import SolverError, SolverOptions, l12_norm, nuclear_norm, shrink_columns, svt
+from pmufdi.kernels import l12_norm, nuclear_norm, shrink_columns, svt
 from pmufdi.report import save_report
 
 from conftest import record_acceptance, recording_mstep_ratios

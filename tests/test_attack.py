@@ -13,9 +13,9 @@ from pmufdi.attack import (
     _minimize_postattack_norm,
 )
 from pmufdi.attack_sets import enumerate_attack_sets, validate_attack_set
-from pmufdi.detector import detect
+from pmufdi.detector import SolverError, SolverOptions, detect
 from pmufdi.blocks import generate_block
-from pmufdi.kernels import SolverError, SolverOptions, nuclear_norm
+from pmufdi.kernels import nuclear_norm
 from pmufdi.measurements import PmuPlan
 
 from oracles import powell_attack_reference

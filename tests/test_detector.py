@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pmufdi.detector
-from pmufdi.attack import design_attack, naive_ramp_attack, SolverDiagnostics
+from pmufdi.attack import design_attack, naive_ramp_attack
 from pmufdi.attack_sets import enumerate_attack_sets
 from pmufdi.blocks import generate_block
 from pmufdi.report import read_block_csv, write_block_csv
 from pmufdi.detector import (
     DetectionResult,
     Outcome,
+    SolverDiagnostics,
+    SolverOptions,
     ThresholdPolicy,
     classify_outcome,
     detect,
@@ -24,7 +26,7 @@ from pmufdi.detector import (
     _screen_gap,
 )
 from pmufdi.experiment import load_config
-from pmufdi.kernels import SolverOptions, l12_norm, nuclear_norm
+from pmufdi.kernels import l12_norm, nuclear_norm
 
 from conftest import recording_mstep_ratios
 from oracles import SVT_REGIME, subgradient_detector_reference

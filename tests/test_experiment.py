@@ -14,8 +14,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import pmufdi
 from pmufdi import experiment, kernels
-from pmufdi.detector import Outcome
+from pmufdi.detector import Outcome, SolverOptions
 from pmufdi.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +25,6 @@ from pmufdi.experiment import (
     load_config,
     run_experiment,
 )
-from pmufdi.kernels import SolverOptions
 from pmufdi.measurements import PmuPlan
 from pmufdi.report import (
     AggregateRow,
@@ -61,6 +61,7 @@ def test_shipped_configs_load():
     assert cfg24.windows == ((31, 90), (91, 150))
     assert cfg24.trace_channel == "F:11"
     assert cfg24.plan.n_measurements == 41
+    assert cfg24.plan == pmufdi.default_plan(cfg24.system)
 
     echo = experiment._config_echo(cfg24)
     assert json.loads(json.dumps(echo)) == echo     # meta.json reads back equal
@@ -68,6 +69,7 @@ def test_shipped_configs_load():
     cfg118 = load_config(CONFIG_DIR / "ieee118.yaml")
     assert cfg118.max_set_size == 1
     assert cfg118.plan.n_measurements == 157
+    assert cfg118.plan == pmufdi.default_plan(cfg118.system)
 
 
 def test_config_overrides():
@@ -106,6 +108,7 @@ def test_config_validation_errors():
                          ("trace", 5),
                          ("windows", 5),
                          ("windows", [[1, 2, 3]]),
+                         ("windows", [[31, 90], [31, 90]]),
                          ("lambda", "abc"),
                          ("window_length", 60),
                          ("seed", "abc"),
@@ -212,16 +215,22 @@ def test_every_config_annotation_has_a_type_rule():
     assert set(leaves(ExperimentConfig)) <= set(experiment._SCALARS)
 
 
-@pytest.mark.parametrize("trace, name", [
-    ({"trace_channel": "F:999", "trace_buses": (8,)}, "F:999"),
-    ({"trace_channel": "F:11", "trace_buses": (999,)}, "999"),
-], ids=["channel", "bus"])
-def test_bad_trace_settings_fail_before_any_scenario(trace, name, monkeypatch):
+def _sweep(cfg):
+    return lambda_sweep(cfg, (1.05,))
+
+
+@pytest.mark.parametrize("entry, trace, name", [
+    (run_experiment, {"trace_channel": "F:999", "trace_buses": (8,)}, "F:999"),
+    (run_experiment, {"trace_channel": "F:11", "trace_buses": (999,)}, "999"),
+    (_sweep, {"trace_channel": "F:999", "trace_buses": (8,)}, "F:999"),
+    (_sweep, {"trace_channel": "F:11", "trace_buses": (999,)}, "999"),
+], ids=["channel", "bus", "sweep-channel", "sweep-bus"])
+def test_bad_trace_settings_fail_before_any_scenario(entry, trace, name, monkeypatch):
     designed = []
     monkeypatch.setattr(experiment, "design_attack",
                         lambda *args, **kwargs: designed.append(args))
     with pytest.raises(ConfigError, match=name):
-        run_experiment(small_cfg(**trace))
+        entry(small_cfg(**trace))
     assert designed == []
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pmufdi import kernels
+from pmufdi.detector import SolverOptions
 from pmufdi.kernels import (
-    SolverOptions,
     l12_norm,
     nuclear_norm,
     shrink_columns,
@@ -27,6 +29,30 @@ def test_blas_runs_on_one_thread():
 
 def test_blas_pin_reports_a_missing_library(tmp_path):
     assert kernels._pin_blas_threads(tmp_path) is None
+
+
+def _package_imports(tree):
+    """The import statements of *tree* that name a pmufdi module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 or (node.module or "").split(".")[0] == "pmufdi":
+                yield node
+        elif isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "pmufdi" for alias in node.names):
+                yield node
+
+
+def test_kernels_define_no_class_and_import_no_package_module():
+    # the kernels are leaf functions and the BLAS pin; the settings, error
+    # and exit record of the solver live with the solver, in detector
+    tree = ast.parse(Path(kernels.__file__).read_text())
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    imports = [node.lineno for node in _package_imports(tree)]
+    assert (classes, imports) == ([], [])
+    # the scan sees each kind of package import
+    probe = ast.parse("from . import a\nfrom .b import c\nimport pmufdi.d\n"
+                      "from pmufdi import e\nimport numpy\nfrom pathlib import Path")
+    assert len(list(_package_imports(probe))) == 4
 
 
 # --- nuclear norm ----------------------------------------------------------
