@@ -117,6 +117,12 @@ def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
     cfg = _load(config_path, seed, out_dir, weight=weight)
     case, plan = cfg.load_grid()
     dep = build_measurement_matrix(case, plan)
+    # an unknown id would otherwise count as injected, and a clean block
+    # that flags nothing would be labelled bypassed
+    unknown = sorted(set(injected or ()) - set(dep.bus_ids))
+    if unknown:
+        raise click.BadParameter(f"{unknown} are not buses of {case.name}",
+                                 param_hint="'--injected'")
     block = read_block_csv(block_path)
     result = detect(block, dep, weight=cfg.weight,
                     options=cfg.solver, thresholds=cfg.thresholds)

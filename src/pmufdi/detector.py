@@ -32,8 +32,15 @@ Zhang & Boyd, "Anderson accelerated Douglas-Rachford splitting", SIAM
 J. Sci. Comput. 2020, arXiv:1908.11482): the next point mixes the last
 images T(x) with real weights that minimize the norm of the mixed
 fixed-point residual T(x) - x, and a step longer than 30 plain steps
-||T(x) - x|| is cut back to that length. The history restarts whenever
-the penalty changes, since that changes T. The safeguard (Zhang,
+||T(x) - x|| is cut back to that length. The weights solve the normal
+equations of that least-squares problem, a system of at most 5 x 5
+(Walker & Ni, "Anderson acceleration for fixed-point iterations", SIAM
+J. Numer. Anal. 2011), by LU; only where a repeated residual difference
+makes its Gram matrix exactly singular, so that the LU fails, are they
+numpy's least-squares solution of least norm. The state is held as one
+buffer [C | U], so that T(x) - x is one subtraction and the mixing
+reads x as one vector. The history restarts whenever the penalty
+changes, since that changes T. The safeguard (Zhang,
 O'Donoghue & Boyd, "Globally convergent type-I Anderson acceleration for
 nonsmooth fixed-point iterations", SIAM J. Optim. 2020,
 arXiv:1808.03971) keeps an extrapolated point only if its residual
@@ -352,12 +359,13 @@ def _decompose(
     :class:`SolverError`, are in data units. *zbar* must be nonzero;
     ``detect``'s screen certifies zero data before the loop.
     """
-    c = np.zeros((zbar.shape[0], g.shape[0]), dtype=complex)
+    n_bus = g.shape[0]
     scale = float(np.linalg.norm(zbar))
     # every objective term is positively homogeneous, so solve on
     # unit-Frobenius data; this keeps the penalty scale data-independent
     b = zbar / scale
-    gh = g.conj().T
+    # the C-step's gradient map G^H, divided once by its step's curvature
+    gh = g.conj().T / smax2
     rho = _RHO
     # halve the penalty no lower than 1.5 / sigma_1(b), which is at least
     # 1.5 as ||b||_F = 1: the threshold 1/rho never reaches sigma_1, or the
@@ -366,65 +374,77 @@ def _decompose(
     # variable to blow the iterates up
     lo = 1.5 * scale / smax
 
+    # the state x = [C | U] in one buffer, so that the fixed-point
+    # residual T(x) - x is one subtraction and Anderson reads x as a vector
+    x = np.zeros((b.shape[0], n_bus + b.shape[1]), dtype=complex)
     cg = np.zeros_like(b)                    # C G
-    u = np.zeros_like(b)
-    primal = dual = np.inf
+    primal = dual = math.inf
     mix = _Anderson()
-    # (image, fixed-point residual) of the point an extrapolated one came from
+    # (image, its C G, fixed-point residual) of the point an extrapolated
+    # one came from
     base = None
     extrapolated = rejected = 0
 
     for it in range(1, opts.max_iter + 1):
-        m = svt(b - cg - u, 1.0 / rho)
+        c, u = x[:, :n_bus], x[:, n_bus:]
+        a = b - cg - u
+        m = svt(a, 1.0 / rho)
         # linearized C-step: minimize weight ||C||_{1,2} plus the
         # quadratic majorizer of rho/2 ||C G - target||_F^2 at the
-        # previous C, whose curvature rho * smax2 bounds the Hessian
-        target = b - m - u
-        c_new = shrink_columns(c - ((cg - target) @ gh) / smax2, weight / (rho * smax2))
+        # previous C, whose curvature rho * smax2 bounds the Hessian; with
+        # target = b - M - U, the gradient's C G - target is M - A
+        c_new = shrink_columns(c - (m - a) @ gh, weight / (rho * smax2))
         cg_new = c_new @ g
         r = (m - b) + cg_new
-        u_new = u + r
-        primal = float(np.linalg.norm(r))
-        dual = float(rho * np.linalg.norm(cg_new - cg))
+        x_new = np.empty_like(x)
+        x_new[:, :n_bus] = c_new
+        np.add(u, r, out=x_new[:, n_bus:])
+        primal = _norm(r)
+        dual = rho * _norm(cg_new - cg)
         # the history starts two points early, since two give the first
         # difference to mix
         if it >= _ANDERSON_START - 2:
-            f = np.concatenate(((c_new - c).ravel(), r.ravel()))
-            residual = float(np.linalg.norm(f))
+            f = x_new - x
+            residual = _norm(f)
         if base is not None:
-            image, base_residual = base
+            image, image_cg, base_residual = base
             base = None
             # the safeguard; a non-finite extrapolated point never gets
             # here, since svt raises ValueError on it at the M-step above
             if not residual < base_residual:
                 rejected += 1
-                c, cg, u = image
+                x, cg = image, image_cg
                 continue
             extrapolated += 1
-        if not np.isfinite(primal) or not np.isfinite(dual):
+        if not math.isfinite(primal) or not math.isfinite(dual):
             raise SolverError("detection diverged", primal * scale, dual * scale, it)
         if primal < opts.tol_rel and dual < opts.tol_rel:
             diag = SolverDiagnostics(it, primal * scale, dual * scale, rho,
                                      extrapolated, rejected)
             return m * scale, c_new * scale, diag
-        c, cg, u = c_new, cg_new, u_new
+        x, cg = x_new, cg_new
         if primal > _RESIDUAL_GAP * dual and rho * 2.0 <= _RHO_MAX:
             rho *= 2.0
-            u /= 2.0
+            x[:, n_bus:] /= 2.0
             mix.reset()
         elif dual > _RESIDUAL_GAP * primal and rho / 2.0 >= lo:
             rho /= 2.0
-            u *= 2.0
+            x[:, n_bus:] *= 2.0
             mix.reset()
         elif it >= _ANDERSON_START - 2:
-            point = mix.push(f, np.concatenate((c.ravel(), u.ravel())))
+            point = mix.push(f.ravel(), x.ravel())
             if point is not None:
-                base = ((c, cg, u), residual)
-                c = point[:c.size].reshape(c.shape)
-                u = point[c.size:].reshape(u.shape)
-                cg = c @ g
+                base = (x, cg, residual)
+                x = point.reshape(x.shape)
+                cg = x[:, :n_bus] @ g
 
     raise SolverError("detection did not converge", primal * scale, dual * scale, opts.max_iter)
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Frobenius norm of the contiguous complex array *v*, from one
+    BLAS dot product."""
+    return math.sqrt(np.vdot(v, v).real)
 
 
 class _Anderson:
@@ -435,7 +455,9 @@ class _Anderson:
     ||f - dF gamma|| over the stored residual differences dF. They are
     real, because the prox steps in T are not complex-linear, so the
     vectors are held as real ones of twice the length, and gamma solves
-    the normal equations, whose Gram matrix dF^T dF gains one row and
+    the normal equations dF^T dF gamma = dF^T f by LU, or, where the Gram
+    matrix dF^T dF is exactly singular, takes their least-squares
+    solution of least norm (module docstring). The Gram gains one row and
     column per push. The extrapolated point is y - dY gamma, with the
     step -dY gamma cut back to at most _ANDERSON_REACH times ||f||.
     """
@@ -452,8 +474,9 @@ class _Anderson:
         self.last = None                     # (f, y) of the last point
 
     def push(self, f: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-        """Record a point, given as complex vectors; return the
-        extrapolated point, or None while there is no difference to mix."""
+        """Record a point, given as contiguous complex vectors, which it
+        keeps and must not be changed afterwards; return the extrapolated
+        point, or None while there is no difference to mix."""
         f, y = f.view(float), y.view(float)
         if self.last is not None:
             if self.df is None:
@@ -469,10 +492,14 @@ class _Anderson:
         k = min(self.count, _ANDERSON_MEMORY)
         if k == 0:
             return None
-        gamma = np.linalg.lstsq(self.gram[:k, :k], self.df[:k] @ f, rcond=None)[0]
+        gram, rhs = self.gram[:k, :k], self.df[:k] @ f
+        try:
+            gamma = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            gamma = np.linalg.lstsq(gram, rhs, rcond=None)[0]
         step = -(gamma @ self.dy[:k])
-        length = float(np.linalg.norm(step))
-        reach = _ANDERSON_REACH * float(np.linalg.norm(f))
+        length = math.sqrt(step @ step)
+        reach = _ANDERSON_REACH * math.sqrt(f @ f)
         if length > reach:
             step *= reach / length
         return (y + step).view(complex)

@@ -9,9 +9,10 @@ Cai, Candes & Shen ("A singular value thresholding algorithm for matrix
 completion", SIAM J. Optim. 2010) needs only the left singular vectors
 and the singular values above the threshold, and both come from one
 Hermitian eigendecomposition of the short side's k x k Gram matrix,
-which costs less than the economy SVD: on a 2-core x86 host, 122
-against 150 us on a 19 x 41 block and 236 against 547 us on a 26 x 157
-one. Squaring the singular values costs accuracy in the small ones,
+which costs less than the economy SVD: on a 2-core x86 host, 39
+against 49 us on a 9 x 41 block, 98 against 130 us on a 19 x 41 one and
+151 against 401 us on a 26 x 157 one (best of five repeats of 3,000
+calls). Squaring the singular values costs accuracy in the small ones,
 so the result carries an error bound that grows as the threshold falls
 (:func:`svt`).
 
@@ -40,6 +41,7 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
 
 
 def _pin_blas_threads(libs: Path) -> int | None:
@@ -69,33 +71,68 @@ BLAS_THREADS = _pin_blas_threads(Path(np.__file__).resolve().parent.parent
                                   / "numpy.libs")
 
 
-def _scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """*m* as an array, and 2**e, the power of two just above its largest
-    entry magnitude (1 for a zero m; 2**1023, the largest power of two,
-    for entries beyond it; 2**-1022, the least normal one, for entries
-    below it, so that 2**-e is finite). Scaling by 2**-e is exact outside
-    the subnormal range, and the squares of the scaled entries do not
-    overflow. Raises ValueError if an entry is not finite."""
+# Where the sum of the squared entry moduli of a kernel's input lies in
+# this range, the kernel works on the input as it is: no square, Gram entry
+# or column norm it forms then overflows, and the Gram stays where LAPACK
+# runs its Hermitian eigensolver without rescaling, which it does by
+# factors that are not powers of two (zheevd outside [2**-485, 2**485],
+# its tridiagonal QR below about 2**-405). Taken up to overflow, the range
+# cost svt its exact scaling by powers of two on generated matrices from
+# shifts of about 2**+-200 on. Outside the range, the kernel works on the
+# input scaled by a power of two (_scaled), which is exact, and scales
+# its result back in one product.
+_PLAIN_MIN, _PLAIN_MAX = 2.0 ** -200, 2.0 ** 200
+
+
+def _array(m) -> np.ndarray:
+    """*m* as an array of floating-point or complex entries."""
     m = np.asarray(m)
-    top = float(np.max(np.abs(m), initial=0.0))
-    if not math.isfinite(top):
-        raise ValueError("matrix contains non-finite entries")
-    return m, 2.0 ** min(max(math.frexp(top)[1], -1022), 1023)
+    return m if m.dtype.kind in "fc" else m.astype(float)
 
 
 def _times(m: np.ndarray, factor: float) -> np.ndarray:
     """*m* times the real *factor*, taken on the real view of a complex m.
     numpy's complex product would also multiply by the factor's zero
     imaginary part, which costs more and can flip the sign of a zero."""
-    if not np.iscomplexobj(m):
+    if m.dtype.kind != "c":
         return m * factor
     m = np.ascontiguousarray(m)
     return (m.view(m.real.dtype) * factor).view(m.dtype)
 
 
+def _scaled(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(m / u, u) for the array *m*: u = 1 where the sum of the squared
+    entry moduli of m lies in [_PLAIN_MIN, _PLAIN_MAX], and otherwise the
+    power of two just above its largest entry magnitude (1 for a zero m;
+    2**1023, the largest power of two, for entries beyond it; 2**-1022,
+    the least normal one, for entries below it, so that 1/u is finite).
+    The division is exact outside the subnormal range; the squares of the
+    scaled entries do not overflow, nor does the largest underflow. Raises
+    ValueError if an entry is not finite; the sum of the squares is finite
+    only where every entry is."""
+    # vdot reduces in BLAS, so squares that overflow raise no warning
+    if _PLAIN_MIN <= np.vdot(m, m).real <= _PLAIN_MAX:
+        return m, 1.0
+    top = float(np.max(np.abs(m), initial=0.0))
+    if not math.isfinite(top):
+        raise ValueError("matrix contains non-finite entries")
+    unit = 2.0 ** min(max(math.frexp(top)[1], -1022), 1023)
+    # a product with the exact reciprocal costs a fraction of a division
+    return _times(m, 1.0 / unit), unit
+
+
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the columns of the 2-D array *a*, from one
+    reduction of the squared entries of its real view."""
+    r = np.ascontiguousarray(a)
+    r = r.view(r.real.dtype).reshape(*r.shape, 2) if r.dtype.kind == "c" else r[..., None]
+    return np.sqrt(np.einsum("ijk,ijk->j", r, r))
+
+
 def nuclear_norm(m: np.ndarray) -> float:
     """Sum of singular values."""
-    m, _ = _scaled(m)
+    m = _array(m)
+    _scaled(m)                               # raises on a non-finite entry
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
@@ -108,9 +145,11 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     eigenvalues above max(tau^2, max(shape) eps lambda_max). The second
     term is numpy's ``matrix_rank`` cut applied to lambda: below it an
     eigenvalue is rounding noise of the Gram, and its direction counts as
-    a zero singular value. The entries are first scaled by the power of
-    two of :func:`_scaled`, which is exact, so that the Gram neither
-    overflows nor underflows.
+    a zero singular value. Where the squares of the entries would leave
+    the normal range, the prox is taken of m scaled by the power of two
+    of :func:`_scaled` and scaled back, so that the Gram neither
+    overflows nor underflows. Either way the result scales with m, bit
+    for bit, by any power of two that keeps m and the result normal.
 
     Against the exact prox the Frobenius error is at most
     ||E||_F / (2 tau) + sqrt(k) max(0, sqrt(f + ||E||_F) - tau), plus the
@@ -126,18 +165,21 @@ def svt(m: np.ndarray, tau: float) -> np.ndarray:
     """
     if not tau >= 0:
         raise ValueError("tau must be >= 0")
-    m, scale = _scaled(m)
-    wide = m.shape[0] <= m.shape[1]
     # scaled before the tall side turns: the turned side is not
     # C-contiguous, and _times would copy it into another layout
-    a = _times(m, 1.0 / scale)
+    a, scale = _scaled(_array(m))
+    wide = a.shape[0] <= a.shape[1]
     if not wide:
         a = a.conj().T
-    tau = tau / scale
+    tau = float(tau) / scale
     lam, q = np.linalg.eigh(a @ a.conj().T)
-    keep = lam > max(tau * tau, max(m.shape) * _EPS * lam.max(initial=0.0))
+    # eigh returns the eigenvalues in ascending order
+    top = float(lam[-1]) if lam.size else 0.0
+    keep = lam > max(tau * tau, max(a.shape) * _EPS * top)
     q = q[:, keep]
-    p = (q * (scale * (1.0 - tau / np.sqrt(lam[keep])))) @ (q.conj().T @ a)
+    p = (q * (1.0 - tau / np.sqrt(lam[keep]))) @ (q.conj().T @ a)
+    if scale != 1.0:
+        p = _times(p, scale)
     return p if wide else p.conj().T
 
 
@@ -145,22 +187,23 @@ def shrink_columns(c: np.ndarray, kappa: float) -> np.ndarray:
     """Per-column soft shrinkage, the prox of kappa * (sum of column norms).
 
     Column j maps to max(1 - kappa/||c_j||, 0) * c_j; columns with norm at
-    or below kappa (including zero columns) map to exactly zero. The norms
-    are taken on c scaled by the power of two of :func:`_scaled`, so that
-    they do not overflow.
+    or below kappa (including zero columns) map to exactly zero. It is
+    taken as :func:`svt` takes its prox, on c scaled by the power of two
+    of :func:`_scaled` where the squares of the entries would leave the
+    normal range.
     """
     if not kappa >= 0:
         raise ValueError("kappa must be >= 0")
-    c, unit = _scaled(c)
-    # a product with the exact reciprocal of the power of two costs a
-    # fraction of a complex division
-    norms = unit * np.linalg.norm(_times(c, 1.0 / unit), axis=0)
-    scale = np.zeros_like(norms)
-    np.divide(norms - kappa, norms, out=scale, where=norms > kappa)
-    return c * scale
+    a, unit = _scaled(_array(c))
+    kappa = float(kappa) / unit
+    norms = _column_norms(a)
+    # (||a_j|| - kappa) / ||a_j|| above kappa, else 0 / ||a_j||, or 0 over
+    # the least subnormal for a zero column: cheaper than a masked division
+    p = a * (np.maximum(norms - kappa, 0.0) / np.maximum(norms, _TINY))
+    return p if unit == 1.0 else _times(p, unit)
 
 
 def l12_norm(c: np.ndarray) -> float:
     """Sum of Euclidean column norms, taken as in :func:`shrink_columns`."""
-    c, unit = _scaled(c)
-    return float(np.sum(unit * np.linalg.norm(_times(c, 1.0 / unit), axis=0)))
+    a, unit = _scaled(_array(c))
+    return float(np.sum(_column_norms(a))) * unit

@@ -139,6 +139,20 @@ def test_experiment_exit_zero(runner, config_path, tmp_path):
     assert "bypassed" in result.output
 
 
+def test_detect_refuses_unknown_injected_buses(runner, config_path, tmp_path):
+    # a clean block flags nothing; with a bus that does not exist counted
+    # as injected, it used to be labelled bypassed
+    runner.invoke(main, ["generate", "--config", str(config_path)])
+    result = runner.invoke(main, [
+        "detect", "--config", str(config_path),
+        "--block", str(tmp_path / "out" / "block.csv"), "--injected", "8,999,1000",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--injected'" in result.output
+    assert "[999, 1000] are not buses of" in result.output
+    assert not (tmp_path / "out" / "detection.csv").exists()
+
+
 def test_sweep(runner, config_path, tmp_path):
     result = runner.invoke(main, ["sweep", "--config", str(config_path),
                                   "--lambdas", "2,1000000"])

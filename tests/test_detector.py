@@ -101,6 +101,79 @@ def test_one_column_shrink_per_iteration(ieee24_blocks, monkeypatch):
     assert result.state_support == (9,)
 
 
+def test_one_svt_per_iteration(ieee24_blocks, monkeypatch):
+    # the M-step runs svt, as bound in pmufdi.detector, once per evaluation
+    # of the iteration map, rejected extrapolations included, so that a
+    # tracer wrapping that name counts the loop's iterations
+    calls = []
+    threshold = pmufdi.detector.svt
+
+    def counting(m, tau):
+        calls.append(tau)
+        return threshold(m, tau)
+
+    monkeypatch.setattr(pmufdi.detector, "svt", counting)
+    _, block, dep = ieee24_blocks
+    _, attacked = naive_ramp_attack(block.window(31, 90), dep, (9,), scale=0.5, seed=21)
+    diag = detect(attacked, dep).diagnostics
+    assert diag.extrapolated > 0 and diag.rejected > 0
+    assert len(calls) == diag.iterations
+
+
+def _anderson_reference(points):
+    """The type-II Anderson point of the last of *points*, a list of
+    (f, y) complex vectors: y minus dY times the weights of least norm
+    that minimize ||f - dF gamma||, from a least-squares solve on the
+    real views of the differences themselves, with no reach cut."""
+    f = np.array([p[0].view(float) for p in points])
+    y = np.array([p[1].view(float) for p in points])
+    df, dy = np.diff(f, axis=0), np.diff(y, axis=0)
+    gamma = np.linalg.lstsq(df.T, f[-1], rcond=None)[0]
+    return (y[-1] - gamma @ dy).view(complex), float(np.linalg.norm(gamma @ dy))
+
+
+def test_anderson_falls_back_to_the_least_norm_weights_on_a_singular_gram():
+    # two equal residual differences make the Gram exactly singular, so
+    # the LU solve fails and the weights are the least-squares solution
+    # of least norm; the entries are small dyadic numbers, so every
+    # difference is exact
+    d = np.array([1.0, 1j, -1.0])
+    f0 = np.array([1 + 2j, -1.0, 0.5j])
+    points = [(f0, np.array([0.0, 1.0, 2.0], dtype=complex)),
+              (f0 + d, np.array([1.0, 1.0, 2 + 1j])),
+              (f0 + 2 * d, np.array([1.0, 3.0, 2 + 1j]))]
+    mix = pmufdi.detector._Anderson()
+    for f, y in points:
+        point = mix.push(f, y)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(mix.gram[:2, :2], np.ones(2))
+    expected, step = _anderson_reference(points)
+    assert step < pmufdi.detector._ANDERSON_REACH * np.linalg.norm(points[-1][0])
+    assert np.linalg.norm(point - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_anderson_weights_match_least_squares_on_a_well_posed_gram():
+    rng = np.random.default_rng(11)
+    n = 20
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    y = rng.normal(size=n) + 1j * rng.normal(size=n)
+    mix = pmufdi.detector._Anderson()
+    points = []
+    # past the memory, so that the ring of differences wraps around
+    for push in range(pmufdi.detector._ANDERSON_MEMORY + 4):
+        points.append((f, y))
+        point = mix.push(f, y)
+        if push == 0:
+            assert point is None
+        else:
+            window = points[-pmufdi.detector._ANDERSON_MEMORY - 1:]
+            expected, step = _anderson_reference(window)
+            assert step < pmufdi.detector._ANDERSON_REACH * np.linalg.norm(f)
+            assert np.linalg.norm(point - expected) <= 1e-12 * np.linalg.norm(expected)
+        f = f + 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        y = y + 1e-3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
 def test_budget_warning(ieee24_blocks, caplog):
     _, block, dep = ieee24_blocks
     _, attacked = naive_ramp_attack(block.window(31, 90), dep, (9,), scale=0.5, seed=21)

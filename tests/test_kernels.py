@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,3 +313,73 @@ def test_solver_options_refuse_a_tolerance_of_one_or_more():
         with pytest.raises(ValueError, match="tol_rel"):
             SolverOptions(tol_rel=bad)
     assert SolverOptions(tol_rel=0.5).tol_rel == 0.5
+
+
+# --- power-of-two scaling across the plain range's edges ---------------------
+
+def _all_kernels(m, tau):
+    """svt, shrink_columns and l12_norm of (m, tau), with every
+    RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return svt(m, tau), shrink_columns(m, tau), l12_norm(m)
+
+
+def _assert_scaled(got, reference, factor):
+    """*got* is *reference* times *factor*, bit for bit."""
+    assert np.array_equal(got[0], reference[0] * factor)
+    assert np.array_equal(got[1], reference[1] * factor)
+    assert got[2] == reference[2] * factor
+
+
+kernel_inputs = dict(
+    shape=st.sampled_from(LOOP_SHAPES) | st.tuples(st.integers(1, 9), st.integers(1, 9)),
+    tall=st.booleans(), seed=st.integers(0, 2**32 - 1), rank=st.integers(0, 26),
+    exponent=st.integers(-3, 3), decades=st.floats(0.0, 12.0), ratio=st.floats(0.0, 2.0))
+
+
+def kernel_input(shape, tall, ratio, **spectrum):
+    """A generated wide or tall matrix and a threshold near its scale."""
+    rows, cols = sorted(shape, reverse=tall)
+    m, _ = generated_matrix(rows=rows, cols=cols, **spectrum)
+    return m, ratio * 10.0 ** spectrum["exponent"]
+
+
+# the shifts straddle the edges of the kernels' plain range (entries near
+# 2**+-100 at the generated magnitudes) and the overflow and underflow of
+# the squares (entries near 2**+-512)
+@given(shift=st.integers(60, 140) | st.integers(450, 700), negative=st.booleans(),
+       **kernel_inputs)
+def test_kernels_scale_exactly_across_the_plain_range(shift, negative, **drawn):
+    m, tau = kernel_input(**drawn)
+    factor = 2.0 ** (-shift if negative else shift)
+    _assert_scaled(_all_kernels(m * factor, tau * factor), _all_kernels(m, tau), factor)
+
+
+@given(shift=st.integers(1023, 1074), **kernel_inputs)
+def test_kernels_scale_exactly_into_the_subnormal_range(shift, **drawn):
+    # a matrix and threshold shifted down into the subnormal range lose
+    # bits; their exact images shifted back up give the reference, whose
+    # results, shifted down, round once, as the kernels' own results must
+    m, tau = kernel_input(**drawn)
+    small, tau_small = m * 2.0 ** -shift, tau * 2.0 ** -shift
+    exact = np.empty_like(small)
+    exact.real, exact.imag = np.ldexp(small.real, shift), np.ldexp(small.imag, shift)
+    _assert_scaled(_all_kernels(small, tau_small),
+                   _all_kernels(exact, math.ldexp(tau_small, shift)), 2.0 ** -shift)
+
+
+@given(bad=st.sampled_from((math.nan, math.inf, -math.inf, complex(1.0, math.inf),
+                            complex(math.nan, 0.0))),
+       where=st.tuples(st.integers(0, 25), st.integers(0, 156)),
+       shift=st.integers(-700, 700), **kernel_inputs)
+def test_kernels_refuse_non_finite_entries_at_every_scale(bad, where, shift, **drawn):
+    m, tau = kernel_input(**drawn)
+    m = m * 2.0 ** shift
+    m[where[0] % m.shape[0], where[1] % m.shape[1]] = bad
+    for kernel in (lambda a: svt(a, tau), lambda a: shrink_columns(a, tau), l12_norm,
+                   nuclear_norm):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="non-finite"):
+                kernel(m)
