@@ -6,7 +6,6 @@ from .attack import (
     AttackScenario,
     apply_attack,
     design_attack,
-    induced_measurement_support,
     naive_ramp_attack,
 )
 from .attack_sets import (

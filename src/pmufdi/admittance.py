@@ -16,8 +16,7 @@ and Ybus = Cf^T Yf + Ct^T Yt + diag(bus shunts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,15 +28,6 @@ class AdmittanceSet:
     ybus: np.ndarray   # (n_bus, n_bus) complex
     yf: np.ndarray     # (n_branch, n_bus) complex, from-side currents
     yt: np.ndarray     # (n_branch, n_bus) complex, to-side currents
-    case: GridCase = field(repr=False, compare=False)   # the case they describe
-
-    @cached_property
-    def newton(self):
-        """The power flow's per-case constants and Jacobian pattern for
-        this case and Ybus (:class:`pmufdi.powerflow.NewtonPlan`),
-        computed once, since ``ybus`` is read-only."""
-        from .powerflow import NewtonPlan  # powerflow imports this module
-        return NewtonPlan.build(self.case, self.ybus)
 
 
 def build_admittances(case: GridCase) -> AdmittanceSet:
@@ -70,4 +60,4 @@ def build_admittances(case: GridCase) -> AdmittanceSet:
 
     for m_ in (ybus, yf, yt):
         m_.setflags(write=False)
-    return AdmittanceSet(ybus=ybus, yf=yf, yt=yt, case=case)
+    return AdmittanceSet(ybus=ybus, yf=yf, yt=yt)

@@ -147,21 +147,3 @@ def apply_attack(
         dependency_digest=block.dependency_digest,
         attacked=True,
     )
-
-
-def induced_measurement_support(
-    c: np.ndarray, dep: DependencyMatrix, eps: float = 0.0
-) -> tuple[int, ...]:
-    """Channels whose column of C Hn^T has norm above eps times the largest.
-
-    With eps = 0 this is the structural support, which always lies inside
-    the measurement set of supp(C).
-    """
-    if not eps >= 0:
-        raise ValueError("eps must be >= 0")
-    d = np.asarray(c) @ dep.h_normalized.T
-    norms = np.linalg.norm(d, axis=0)
-    top = norms.max(initial=0.0)
-    if top == 0.0:
-        return ()
-    return tuple(int(i) for i in np.flatnonzero(norms > eps * top))

@@ -22,7 +22,7 @@ from .admittance import build_admittances
 from .cases import GridCase
 from .loads import DisturbancePolicy, perturb_loads
 from .measurements import DependencyMatrix, PmuPlan, build_measurement_matrix
-from .powerflow import PowerFlowError, solve_ac_power_flow
+from .powerflow import NewtonPlan, PowerFlowError, solve_ac_power_flow
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def generate_block(
     n_steps = sample_count(duration_s, rate_hz)
     onset = disturbance_onset(rate_hz)
     dep = build_measurement_matrix(case, plan)
-    adm = build_admittances(case)
+    newton = NewtonPlan.build(case, build_admittances(case).ybus)
     traj = perturb_loads(case, n_steps, onset, seed, policy)
     x = np.empty((n_steps, case.n_bus), dtype=complex)
     iterations = []
@@ -157,7 +157,7 @@ def generate_block(
             mismatches.append(mismatches[-1])
             continue
         try:
-            sol = solve_ac_power_flow(case, traj.pd[t], traj.qd[t], adm=adm, v0=v_prev)
+            sol = solve_ac_power_flow(case, traj.pd[t], traj.qd[t], newton=newton, v0=v_prev)
         except PowerFlowError as exc:
             raise PowerFlowError(
                 f"power flow failed at instant {t + 1}: {exc}",

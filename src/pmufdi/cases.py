@@ -19,6 +19,7 @@ parse time. Bus and branch ordering is the file order; branch ids are the
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +29,8 @@ PQ, PV, SLACK = 1, 2, 3
 _BUS_COLS = 13
 _GEN_COLS = 10
 _BRANCH_COLS = 11
+# 0-based columns of each table that hold integers: ids, bus type, status
+_INT_COLS = {"bus": (0, 1), "gen": (0, 7), "branch": (0, 1, 10)}
 
 
 class CaseError(ValueError):
@@ -159,6 +162,7 @@ class GridCase:
 _MATRIX_RE = re.compile(r"mpc\.(?P<name>bus|gen|branch)\s*=\s*\[", re.MULTILINE)
 _BASE_RE = re.compile(r"mpc\.baseMVA\s*=\s*(?P<val>[0-9eE+\-.]+)\s*;")
 _NAME_RE = re.compile(r"function\s+mpc\s*=\s*(?P<name>\w+)")
+_TOKEN_RE = re.compile(r"[^\s;]+")
 
 
 def _strip_comment(line: str) -> str:
@@ -167,7 +171,9 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_matrix(text: str, start: int, name: str) -> list[list[float]]:
-    """Parse rows of numbers between ``[`` at ``start`` and the closing ``];``."""
+    """Parse rows of numbers between ``[`` at ``start`` and the closing ``];``.
+    A token that is not a finite number, or not an integer in an integer
+    column, raises CaseSyntaxError at its own line and column."""
     end = text.find("]", start)
     if end < 0:
         line = text.count("\n", 0, start) + 1
@@ -176,19 +182,23 @@ def _parse_matrix(text: str, start: int, name: str) -> list[list[float]]:
     base_line = text.count("\n", 0, start) + 1
     rows = []
     for off, raw in enumerate(body.split("\n")):
-        stripped = _strip_comment(raw)
-        if not stripped.strip():
-            continue
         row = []
-        for piece in stripped.replace(";", " ").split():
+        for col, token in enumerate(_TOKEN_RE.finditer(_strip_comment(raw))):
+            piece = token.group()
             try:
-                row.append(float(piece))
+                value = float(piece)
             except ValueError:
-                col = raw.index(piece) + 1
-                raise CaseSyntaxError(
-                    f"bad number {piece!r} in {name} table",
-                    base_line + off, col,
-                ) from None
+                problem = "bad number"
+            else:
+                if not math.isfinite(value):
+                    problem = "non-finite number"
+                elif col in _INT_COLS[name] and not value.is_integer():
+                    problem = "non-integer"
+                else:
+                    row.append(value)
+                    continue
+            raise CaseSyntaxError(f"{problem} {piece!r} in {name} table",
+                                  base_line + off, token.start() + 1)
         if row:
             rows.append(row)
     return rows

@@ -211,9 +211,18 @@ def config_from_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentCo
 
 
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
-    """Read a YAML experiment config; keyword overrides replace file values."""
+    """Read a YAML experiment config; keyword overrides replace file values.
+    A file that is not UTF-8 YAML raises ConfigError naming the path, and
+    the line and column where the YAML parser stopped."""
     path = Path(path)
-    raw = yaml.safe_load(path.read_text())
+    try:
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        raise ConfigError(f"{path}{where}: {getattr(exc, 'problem', None) or exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     cfg = config_from_mapping(raw, base_dir=path.parent)

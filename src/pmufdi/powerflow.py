@@ -15,12 +15,13 @@ of Ybus plus the diagonal, with the dense formulas' elementwise
 arithmetic, and their real and imaginary parts are scattered straight
 into the Jacobian. Building it costs O(nnz(Ybus)); the Jacobian equals
 the dense construction's, whose entries off that pattern are zeros.
-The pattern, where it lands in the Jacobian, and the case's bus types,
-voltage setpoints and generation are built once per admittance set
-(:attr:`AdmittanceSet.newton`), not once per solve; the Newton step is
-a dense LU solve. PV-bus voltage magnitudes are held at their setpoints
-and the slack bus absorbs the residual injection. Reactive limits are
-not enforced; bus types stay fixed throughout the solve.
+Ybus, the pattern, where it lands in the Jacobian, and the case's bus
+types, voltage setpoints and generation form a :class:`NewtonPlan`,
+built once per block, by ``generate_block``, not once per solve; the
+Newton step is a dense LU solve. PV-bus voltage magnitudes are held at
+their setpoints and the slack bus absorbs the residual injection.
+Reactive limits are not enforced; bus types stay fixed throughout the
+solve.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admittance import AdmittanceSet, build_admittances
+from .admittance import build_admittances
 from .cases import PQ, SLACK, GridCase
 
 
@@ -60,6 +61,7 @@ class NewtonPlan:
     instant: the bus split, the pinned values, the injections, and where
     the Jacobian over [va[pvpq], vm[pq]] can be nonzero."""
 
+    ybus: np.ndarray         # (n_bus, n_bus) complex
     pq: np.ndarray
     pvpq: np.ndarray
     slack: int
@@ -102,7 +104,7 @@ class NewtonPlan:
             src.append(first + 2 * keep)
             dst.append(r[keep] * size + c[keep])
         return cls(
-            pq=pq, pvpq=pvpq, slack=slack,
+            ybus=ybus, pq=pq, pvpq=pvpq, slack=slack,
             va_slack=np.deg2rad(case.buses[slack].va_deg),
             fixed=fixed, vm_fixed=_voltage_setpoints(case)[fixed],
             gen_bus=np.array([case.bus_index(g.bus) for g in case.generators], dtype=int),
@@ -145,22 +147,20 @@ def solve_ac_power_flow(
     case: GridCase,
     pd: np.ndarray,
     qd: np.ndarray,
-    adm: AdmittanceSet | None = None,
+    newton: NewtonPlan | None = None,
     v0: np.ndarray | None = None,
 ) -> PowerFlowSolution:
     """Solve the power flow for per-bus demands *pd*, *qd* (p.u.).
 
+    *newton* is the case's :class:`NewtonPlan`, built here if not given.
     *v0* warm-starts the iteration; the default is a flat start with PV
     and slack magnitudes at their setpoints. Raises
     :class:`PowerFlowError` on non-convergence or a singular Jacobian.
     """
     if not (np.all(np.isfinite(pd)) and np.all(np.isfinite(qd))):
         raise ValueError("demands must be finite")
-    adm = adm or build_admittances(case)
-    ybus = adm.ybus
-    # admittances built from another case object get a plan of their own
-    plan = adm.newton if adm.case is case else NewtonPlan.build(case, ybus)
-    pq, pvpq = plan.pq, plan.pvpq
+    plan = newton or NewtonPlan.build(case, build_admittances(case).ybus)
+    ybus, pq, pvpq = plan.ybus, plan.pq, plan.pvpq
 
     if v0 is not None:
         vm = np.abs(v0).astype(float)

@@ -312,7 +312,7 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     """Read the layout of :func:`write_block_csv`. A malformed file, one
     whose t column does not count up by one from start_index among them,
     raises ValueError naming the file and the bad sample, channel or
-    metadata key.
+    metadata key: rate_hz must be finite and positive, and attacked 0 or 1.
     """
     meta = {}
     samples = []
@@ -341,28 +341,36 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
 
-    def number(key, convert, default=None):
+    def number(key, convert, valid=lambda value: True, default=None):
         text = meta.get(key, default)
         if text is None:
             raise ValueError(f"{path}: missing '# {key}:' line")
         try:
-            return convert(text)
+            value = convert(text)
         except ValueError:
-            raise ValueError(f"{path}: bad '# {key}:' value {text!r}") from None
+            value = None
+        if value is None or not valid(value):
+            raise ValueError(f"{path}: bad '# {key}:' value {text!r}")
+        return value
 
     start = number("start_index", int)
     for k, sample in enumerate(samples):
         if sample != str(start + k):
             raise ValueError(f"{path}: sample {sample} out of order, "
                              f"expected sample {start + k}")
-    return MeasurementBlock(
-        z=np.array(rows, dtype=complex),
-        rate_hz=number("rate_hz", float),
-        start_index=start,
-        labels=labels,
-        dependency_digest=meta.get("dependency", ""),
-        attacked=bool(number("attacked", int, "0")),
-    )
+    rate_hz = number("rate_hz", float, lambda rate: math.isfinite(rate) and rate > 0)
+    attacked = number("attacked", int, lambda flag: flag in (0, 1), "0")
+    try:
+        return MeasurementBlock(
+            z=np.array(rows, dtype=complex),
+            rate_hz=rate_hz,
+            start_index=start,
+            labels=labels,
+            dependency_digest=meta.get("dependency", ""),
+            attacked=bool(attacked),
+        )
+    except ValueError as exc:       # the block's own checks, such as a non-finite entry
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pmufdi.attack import (
     apply_attack,
     design_attack,
-    induced_measurement_support,
     naive_ramp_attack,
     _minimize_postattack_norm,
 )
@@ -164,25 +163,6 @@ def test_apply_attack_dimension_checks(ieee24_blocks):
         apply_attack(window, np.zeros((10, dep.n_states)), dep)
     with pytest.raises(ValueError):
         apply_attack(window, np.zeros((window.n_steps, 3)), dep)
-
-
-def test_induced_support_within_admissible_channels(ieee24_case, ieee24_blocks):
-    _, block, dep = ieee24_blocks
-    window = block.window(31, 90)
-    check = validate_attack_set(ieee24_case, dep, [8])
-    scen = design_attack(window, dep, (8,))
-    assert set(induced_measurement_support(scen.c, dep)) <= set(check.measurement_rows)
-    assert induced_measurement_support(np.zeros_like(scen.c), dep) == ()
-
-
-def test_induced_support_structural_at_zero_eps(ieee24_case, ieee24_dep):
-    check = validate_attack_set(ieee24_case, ieee24_dep, [8])
-    c = np.zeros((12, ieee24_dep.n_states), dtype=complex)
-    c[:, ieee24_dep.column_index(8)] = 1.0
-    assert induced_measurement_support(c, ieee24_dep, eps=0.0) == check.measurement_rows
-    for eps in (-0.5, float("nan")):
-        with pytest.raises(ValueError):
-            induced_measurement_support(c, ieee24_dep, eps=eps)
 
 
 def _design(block, dep, options=None):

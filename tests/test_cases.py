@@ -104,3 +104,25 @@ def test_comments_and_name_parsing():
     case = parse_case(commented)
     assert case.name == "twobus"
     assert case.n_branch == 1
+
+
+@pytest.mark.parametrize("old, new, line, column", [
+    ("2 1 50 20", "2 1 nan 20", 6, 9),              # a bus's Pd
+    ("2 1 50 20", "2 1 inf 20", 6, 9),
+    ("2 1 50 20", "2 1 -inf 20", 6, 9),
+    ("2 1 50 20", "2 1 1e400 20", 6, 9),            # overflows to inf
+    ("0 0 0 0 0 1;", "0 0 0 0 0 nan;", 12, 30),     # a branch's status
+    ("0 0 0 0 0 1;", "0 0 0 0 0 inf;", 12, 30),
+    ("    1 0 0 100", "    1.7 0 0 100", 9, 5),     # a generator's bus
+    ("2 1 50 20", "2 1.5 50 20", 6, 7),             # a bus's type
+    # each token at its own place, not where its text first appears
+    ("2 1 50 20 0 0 1 1 0 138", "2 1 5e1 20 0 0 1 1 e1 138", 6, 24),
+])
+def test_unmeant_numbers_rejected_at_their_place(old, new, line, column):
+    text = TWO_BUS_CASE.replace(old, new)
+    assert text != TWO_BUS_CASE
+    with pytest.raises(CaseSyntaxError) as err:
+        parse_case(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    token = text.splitlines()[line - 1][column - 1:].split()[0].rstrip(";")
+    assert repr(token) in str(err.value)

@@ -77,6 +77,20 @@ def test_config_overrides():
     assert (cfg.seed, cfg.limit, cfg.out_dir) == (7, 3, "/tmp/x")
 
 
+@pytest.mark.parametrize("content, where", [
+    (b"system: ieee24\nseed: \xff\n", "not UTF-8"),
+    (b"system: ieee24\nwindows: [[31, 90]\n", "line 3, column 1"),   # unclosed [
+])
+def test_unreadable_config_names_the_file(tmp_path, content, where):
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith(str(path))
+    assert where in str(err.value)
+    assert "<unicode string>" not in str(err.value)
+
+
 def test_config_validation_errors():
     with pytest.raises(ConfigError):
         ExperimentConfig()                                   # neither source

@@ -8,18 +8,22 @@ import struct
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pmufdi
+from pmufdi.blocks import MeasurementBlock
 from pmufdi.report import (
     AggregateRow,
     ScenarioRow,
     SpectrumRow,
     SweepRow,
     TraceRow,
+    read_block_csv,
     read_records,
+    write_block_csv,
     write_records,
 )
 
@@ -113,6 +117,25 @@ def test_undecodable_table_names_the_file(tmp_path):
     path.write_bytes(b"\xff\xfe\x00garbage")
     with pytest.raises(ValueError, match="not a table") as err:
         read_records(path, ScenarioRow)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, cause", [
+    ("1,1+0j,", "1,nan+0j,", r"non-finite entry \(nan\+0j\) at sample 1, channel 'V:1'"),
+    ("# rate_hz: 30", "# rate_hz: nan", "rate_hz"),
+    ("# rate_hz: 30", "# rate_hz: -30", "rate_hz"),
+    ("# attacked: 0", "# attacked: 5", "attacked"),
+], ids=["nan-entry", "nan-rate", "negative-rate", "attacked-5"])
+def test_block_csv_refusal_names_the_file(tmp_path, old, new, cause):
+    path = tmp_path / "block.csv"
+    write_block_csv(MeasurementBlock(z=np.ones((2, 2), dtype=complex), rate_hz=30.0,
+                                     start_index=1, labels=("V:1", "V:2"),
+                                     dependency_digest="d"), path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    with pytest.raises(ValueError, match=cause) as err:
+        read_block_csv(path)
     assert str(path) in str(err.value)
 
 
