@@ -30,7 +30,6 @@ from .detector import (
     ThresholdPolicy,
     classify_outcome,
     detect,
-    identify_support,
 )
 from .kernels import l12_norm, nuclear_norm, shrink_columns, svt
 from .loads import DisturbancePolicy, LoadTrajectory, perturb_loads

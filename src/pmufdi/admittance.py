@@ -37,7 +37,7 @@ def build_admittances(case: GridCase) -> AdmittanceSet:
     yt = np.zeros((m, n), dtype=complex)
 
     for k, br in enumerate(case.branches):
-        ys = 1.0 / complex(br.r, br.x)    # nonzero: GridCase checks
+        ys = 1.0 / complex(br.r, br.x)    # finite: GridCase checks
         tap = br.tap if br.tap != 0.0 else 1.0
         t = tap * np.exp(1j * np.deg2rad(br.shift_deg))
         half_b = 1j * br.b / 2.0

@@ -2,9 +2,9 @@
 
 The accepted format is the common matrix-based case format: a MATLAB-style
 file assigning ``baseMVA`` plus ``bus``, ``gen`` and ``branch`` tables to a
-struct. Each row must have at least the standard columns listed below,
-of which only the starred ones are read; trailing columns are ignored so
-standard files load unchanged.
+struct. A row ends at ``;`` and at a line end. Each row must have at
+least the standard columns listed below, of which only the starred ones
+are read; trailing columns are ignored so standard files load unchanged.
 
 bus:    bus_i*, type* (1 PQ / 2 PV / 3 slack), Pd*, Qd*, Gs*, Bs*, area,
         Vm*, Va*, baseKV, zone, Vmax, Vmin
@@ -139,6 +139,11 @@ class GridCase:
             if bus.type not in (PQ, PV, SLACK):
                 raise CaseError(f"bus {bus.id}: unsupported type code {bus.type}")
         adjacency = {bus.id: set() for bus in self.buses}
+        # bounds on the entries that build_admittances puts in each bus's
+        # row of Ybus: the bus's shunt plus, for each of its branches,
+        # (|1/(r + jx)| + |b|) max(1, 1/tap^2); where they are finite, so
+        # is every admittance
+        reach = {bus.id: abs(bus.gs) + abs(bus.bs) for bus in self.buses}
         for br in self.branches:
             for end in (br.from_bus, br.to_bus):
                 if end not in index:
@@ -146,10 +151,21 @@ class GridCase:
                         f"branch {br.id} ({br.from_bus}-{br.to_bus}) references "
                         f"missing bus {end}"
                     )
-            if abs(complex(br.r, br.x)) == 0.0:
-                raise CaseError(f"branch {br.id}: zero series impedance")
+            tap = br.tap or 1.0
+            try:
+                bound = (abs(1.0 / complex(br.r, br.x)) + abs(br.b)) * max(1.0, 1.0 / (tap * tap))
+            except ZeroDivisionError:
+                bound = math.inf
+            if not math.isfinite(bound):
+                raise CaseError(f"branch {br.id}: series impedance {complex(br.r, br.x)}, "
+                                f"charging {br.b} and tap {br.tap} give a non-finite admittance")
+            for end in (br.from_bus, br.to_bus):
+                reach[end] += bound
             adjacency[br.from_bus].add(br.to_bus)
             adjacency[br.to_bus].add(br.from_bus)
+        for bus_id, bound in reach.items():
+            if not math.isfinite(bound):
+                raise CaseError(f"bus {bus_id}: its admittances sum past the float range")
         object.__setattr__(self, "_adjacency",
                            {bus: frozenset(ends) for bus, ends in adjacency.items()})
         object.__setattr__(self, "_load_bus_ids",
@@ -162,7 +178,7 @@ class GridCase:
 _MATRIX_RE = re.compile(r"mpc\.(?P<name>bus|gen|branch)\s*=\s*\[", re.MULTILINE)
 _BASE_RE = re.compile(r"mpc\.baseMVA\s*=\s*(?P<val>[0-9eE+\-.]+)\s*;")
 _NAME_RE = re.compile(r"function\s+mpc\s*=\s*(?P<name>\w+)")
-_TOKEN_RE = re.compile(r"[^\s;]+")
+_TOKEN_RE = re.compile(r"[^\s;]+|;")
 
 
 def _strip_comment(line: str) -> str:
@@ -170,37 +186,46 @@ def _strip_comment(line: str) -> str:
     return line if pos < 0 else line[:pos]
 
 
+def _number(piece: str, where: str, line: int, column: int) -> float:
+    """*piece* as a finite float, or CaseSyntaxError at *line*, *column*."""
+    try:
+        value = float(piece)
+    except ValueError:
+        problem = "bad number"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = "non-finite number"
+    raise CaseSyntaxError(f"{problem} {piece!r} in {where}", line, column)
+
+
 def _parse_matrix(text: str, start: int, name: str) -> list[list[float]]:
     """Parse rows of numbers between ``[`` at ``start`` and the closing ``];``.
-    A token that is not a finite number, or not an integer in an integer
-    column, raises CaseSyntaxError at its own line and column."""
+    A row ends at ``;`` and at a line end. A token that is not a finite
+    number, or not an integer in an integer column, raises CaseSyntaxError
+    at its own line and column."""
     end = text.find("]", start)
     if end < 0:
         line = text.count("\n", 0, start) + 1
         raise CaseSyntaxError(f"unterminated {name} matrix", line, 1)
     body = text[start:end]
     base_line = text.count("\n", 0, start) + 1
-    rows = []
+    where, int_cols = f"{name} table", _INT_COLS[name]
+    rows, row = [], []
     for off, raw in enumerate(body.split("\n")):
-        row = []
-        for col, token in enumerate(_TOKEN_RE.finditer(_strip_comment(raw))):
+        # the appended ";" ends the line's last row
+        for token in _TOKEN_RE.finditer(_strip_comment(raw) + ";"):
             piece = token.group()
-            try:
-                value = float(piece)
-            except ValueError:
-                problem = "bad number"
-            else:
-                if not math.isfinite(value):
-                    problem = "non-finite number"
-                elif col in _INT_COLS[name] and not value.is_integer():
-                    problem = "non-integer"
-                else:
-                    row.append(value)
-                    continue
-            raise CaseSyntaxError(f"{problem} {piece!r} in {name} table",
-                                  base_line + off, token.start() + 1)
-        if row:
-            rows.append(row)
+            if piece == ";":
+                if row:
+                    rows.append(row)
+                row = []
+                continue
+            line, column = base_line + off, token.start() + 1
+            value = _number(piece, where, line, column)
+            if len(row) in int_cols and not value.is_integer():
+                raise CaseSyntaxError(f"non-integer {piece!r} in {where}", line, column)
+            row.append(value)
     return rows
 
 
@@ -209,12 +234,14 @@ def parse_case(text: str, name: str = "") -> GridCase:
 
     Raises :class:`CaseSyntaxError` on malformed numbers and
     :class:`CaseError` on structural problems (missing slack, dangling
-    branch endpoints, zero impedance, out-of-service elements).
+    branch endpoints, non-finite admittances, out-of-service elements).
     """
     m = _BASE_RE.search(text)
     if m is None:
         raise CaseError("missing mpc.baseMVA assignment")
-    base = float(m.group("val"))
+    pos = m.start("val")
+    base = _number(m.group("val"), "mpc.baseMVA", text.count("\n", 0, pos) + 1,
+                   pos - text.rfind("\n", 0, pos))
     if base <= 0:
         raise CaseError(f"baseMVA must be positive, got {base}")
 
@@ -229,14 +256,20 @@ def parse_case(text: str, name: str = "") -> GridCase:
         if required not in tables:
             raise CaseError(f"missing mpc.{required} table")
 
+    def per_unit(values: list[float], owner: str) -> list[float]:
+        # a finite MW or MVar value overflows on a base far below 1
+        scaled = [v / base for v in values]
+        if not all(map(math.isfinite, scaled)):
+            raise CaseError(f"{owner}: {values} is not finite per unit on baseMVA {base!r}")
+        return scaled
+
     buses = []
     for row in tables["bus"]:
         if len(row) < _BUS_COLS:
             raise CaseError(f"bus row has {len(row)} columns, expected >= {_BUS_COLS}")
+        pd, qd, gs, bs = per_unit(row[2:6], f"bus {int(row[0])}")
         buses.append(Bus(
-            id=int(row[0]), type=int(row[1]),
-            pd=row[2] / base, qd=row[3] / base,
-            gs=row[4] / base, bs=row[5] / base,
+            id=int(row[0]), type=int(row[1]), pd=pd, qd=qd, gs=gs, bs=bs,
             vm=row[7], va_deg=row[8],
         ))
 
@@ -246,10 +279,8 @@ def parse_case(text: str, name: str = "") -> GridCase:
             raise CaseError(f"gen row has {len(row)} columns, expected >= {_GEN_COLS}")
         if int(row[7]) != 1:
             raise CaseError(f"generator at bus {int(row[0])} is out of service")
-        gens.append(Generator(
-            bus=int(row[0]),
-            pg=row[1] / base, qg=row[2] / base, vg=row[5],
-        ))
+        pg, qg = per_unit(row[1:3], f"generator at bus {int(row[0])}")
+        gens.append(Generator(bus=int(row[0]), pg=pg, qg=qg, vg=row[5]))
 
     branches = []
     for i, row in enumerate(tables["branch"], start=1):

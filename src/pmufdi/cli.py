@@ -60,6 +60,15 @@ def _number_list(convert):
     return parse
 
 
+def _refuse_unknown_buses(buses, case, option):
+    """A usage error of *option* naming the ids in *buses* that are not
+    buses of *case*."""
+    unknown = sorted(set(buses or ()) - {bus.id for bus in case.buses})
+    if unknown:
+        raise click.BadParameter(f"{unknown} are not buses of {case.name}",
+                                 param_hint=f"'{option}'")
+
+
 @click.group()
 def main():
     """Synthesize PMU blocks, design measurement attacks, run detection."""
@@ -88,7 +97,8 @@ def attack(config_path, seed, out_dir, buses, window_index):
     cfg = _load(config_path, seed, out_dir)
     if not 1 <= window_index <= len(cfg.windows):
         raise click.BadParameter(f"window must be in 1..{len(cfg.windows)}")
-    _, block, dep = cfg.build_block()
+    case, block, dep = cfg.build_block()
+    _refuse_unknown_buses(buses, case, "--buses")
     first, last = cfg.windows[window_index - 1]
     window = block.window(first, last)
     scen = design_attack(window, dep, buses)
@@ -119,10 +129,7 @@ def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
     dep = build_measurement_matrix(case, plan)
     # an unknown id would otherwise count as injected, and a clean block
     # that flags nothing would be labelled bypassed
-    unknown = sorted(set(injected or ()) - set(dep.bus_ids))
-    if unknown:
-        raise click.BadParameter(f"{unknown} are not buses of {case.name}",
-                                 param_hint="'--injected'")
+    _refuse_unknown_buses(injected, case, "--injected")
     block = read_block_csv(block_path)
     result = detect(block, dep, weight=cfg.weight,
                     options=cfg.solver, thresholds=cfg.thresholds)
@@ -130,11 +137,11 @@ def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
     write_table(Path(cfg.out_dir) / "detection.csv",
                 ["outcome", "weight", "objective", "feasibility_residual", "iterations",
                  "flagged_buses", "flagged_channels", "max_state_column_norm"],
-                [(outcome.value, result.weight, result.objective,
+                [(outcome.value, cfg.weight, result.objective,
                   result.feasibility_residual, result.diagnostics.iterations,
                   result.state_support,
-                  tuple(result.labels[i] for i in result.channel_support),
-                  float(result.state_column_norms.max(initial=0.0)))])
+                  tuple(dep.row_labels[i] for i in result.channel_support),
+                  result.max_state_column_norm)])
     click.echo(f"outcome: {outcome.value}; flagged: {list(result.state_support)}")
 
 

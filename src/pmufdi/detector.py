@@ -119,9 +119,9 @@ makes its error grow as the threshold falls, but 1/rho is at least
 M-step thresholds at 9.5e-7 s_1 of its input or above, where the error
 stays below 1.3e-9 s_1.
 
-Support identification thresholds the stored column norms at a relative
-fraction of the largest norm, with an absolute floor so that an
-all-but-zero attack term yields an empty support.
+``detect`` thresholds the column norms of C and C Hn^T once, as it builds
+its result, at a relative fraction of the largest norm, with an absolute
+floor so that an all-but-zero attack term yields an empty support.
 """
 
 from __future__ import annotations
@@ -248,17 +248,17 @@ class SolverDiagnostics:
 class DetectionResult:
     z_lowrank: np.ndarray                   # (N, n_z) complex
     c: np.ndarray                           # (N, n_bus) complex attack term
-    weight: float                           # group-sparsity weight used
     state_column_norms: np.ndarray          # per state column of c
-    channel_column_norms: np.ndarray        # per column of c Hn^T
     state_support: tuple[int, ...]          # flagged bus ids
-    channel_support: tuple[int, ...]        # flagged channel labels' indices
-    observed_frob: float                    # ||Zbar||_F
+    channel_support: tuple[int, ...]        # flagged indices into dep.row_labels
     feasibility_residual: float             # ||Zbar - M - C Hn^T||_F
     objective: float
-    bus_ids: tuple[int, ...]
-    labels: tuple[str, ...]
     diagnostics: SolverDiagnostics
+
+    @property
+    def max_state_column_norm(self) -> float:
+        """The largest state column norm of c; 0 where c has no columns."""
+        return float(self.state_column_norms.max(initial=0.0))
 
 
 def detect(
@@ -289,6 +289,7 @@ def detect(
         m, c = zbar.copy(), np.zeros((zbar.shape[0], g.shape[0]), dtype=complex)
         diag = SolverDiagnostics(0, 0.0, 0.0, _RHO, gap=gap)
         residual, objective = 0.0, baseline
+        channel_norms = np.zeros(g.shape[1])
     else:
         k = _column_space_rank(s, opts.tol_rel)
         m, c, diag = _decompose(s[:k, None] * vh[:k], g, weight, opts, dep.smax2, float(s[0]))
@@ -297,31 +298,41 @@ def detect(
         if diag.iterations > opts.max_iter / 2:
             log.warning("detection converged after %d of its %d-iteration budget",
                         diag.iterations, opts.max_iter)
-        residual = float(np.linalg.norm(zbar - m - c @ g))
+        cg = c @ g
+        residual = float(np.linalg.norm(zbar - m - cg))
         objective = nuclear_norm(m) + weight * l12_norm(c)
         if objective > baseline * (1.0 + _CERTIFICATE_TOL):
             raise SolverError(
                 f"objective certificate violated: {objective:.6g} > {baseline:.6g}",
                 diag.primal_residual, diag.dual_residual, diag.iterations,
             )
+        channel_norms = np.linalg.norm(cg, axis=0)
 
-    result = DetectionResult(
+    state_norms = np.linalg.norm(c, axis=0)
+    frob = float(np.linalg.norm(zbar))
+    return DetectionResult(
         z_lowrank=m,
         c=c,
-        weight=weight,
-        state_column_norms=np.linalg.norm(c, axis=0),
-        channel_column_norms=np.linalg.norm(c @ g, axis=0),
-        state_support=(),
-        channel_support=(),
-        observed_frob=float(np.linalg.norm(zbar)),
+        state_column_norms=state_norms,
+        state_support=tuple(dep.bus_ids[i]
+                            for i in _flagged(state_norms, frob, c.shape[0], thresholds)),
+        channel_support=tuple(int(i)
+                              for i in _flagged(channel_norms, frob, c.shape[0], thresholds)),
         feasibility_residual=residual,
         objective=objective,
-        bus_ids=dep.bus_ids,
-        labels=dep.row_labels,
         diagnostics=diag,
     )
-    state, channel = identify_support(result, thresholds)
-    return replace(result, state_support=state, channel_support=channel)
+
+
+def _flagged(
+    norms: np.ndarray, frob: float, n_rows: int, thresholds: ThresholdPolicy
+) -> np.ndarray:
+    """Indices of the column *norms* of an *n_rows*-row matrix that
+    :class:`ThresholdPolicy` flags, for data of Frobenius norm *frob*."""
+    if norms.size == 0:
+        return np.array([], dtype=int)
+    floor = thresholds.floor * frob / np.sqrt(norms.size * max(n_rows, 1))
+    return np.flatnonzero(norms > max(thresholds.rel * float(norms.max()), floor))
 
 
 def _column_space_rank(s: np.ndarray, tol_rel: float) -> int:
@@ -503,24 +514,6 @@ class _Anderson:
         if length > reach:
             step *= reach / length
         return (y + step).view(complex)
-
-
-def identify_support(
-    result: DetectionResult, thresholds: ThresholdPolicy | None = None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Flagged (state bus ids, channel indices) from the stored norms."""
-    thresholds = thresholds or ThresholdPolicy()
-
-    def flagged(norms: np.ndarray) -> np.ndarray:
-        if norms.size == 0:
-            return np.array([], dtype=int)
-        floor = thresholds.floor * result.observed_frob / np.sqrt(norms.size * max(result.c.shape[0], 1))
-        cut = max(thresholds.rel * float(norms.max()), floor)
-        return np.flatnonzero(norms > cut)
-
-    states = tuple(result.bus_ids[i] for i in flagged(result.state_column_norms))
-    channels = tuple(int(i) for i in flagged(result.channel_column_norms))
-    return states, channels
 
 
 def classify_outcome(result: DetectionResult, injected_buses=None) -> Outcome:

@@ -255,7 +255,7 @@ def _run_scenario(
             outcome=outcome.value,
             detect_iterations=res.diagnostics.iterations,
             detect_feasibility=res.feasibility_residual,
-            max_state_column_norm=float(res.state_column_norms.max(initial=0.0)),
+            max_state_column_norm=res.max_state_column_norm,
             flagged_buses=res.state_support,
         )
     except Exception as exc:  # recorded per scenario; the run continues
@@ -403,7 +403,7 @@ def lambda_sweep(cfg: ExperimentConfig, weights) -> tuple[SweepRow, ...]:
                     weight=weight, kind=kind,
                     outcome=classify_outcome(res, buses).value,
                     flagged_buses=res.state_support,
-                    max_state_column_norm=float(res.state_column_norms.max(initial=0.0)),
+                    max_state_column_norm=res.max_state_column_norm,
                 ))
             except Exception as exc:
                 log.warning("sweep weight %g (%s) failed: %s", weight, kind, exc)

@@ -1,6 +1,14 @@
-import pytest
+import re
+import warnings
 
-from pmufdi.cases import CaseError, CaseSyntaxError, parse_case
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from pmufdi.admittance import build_admittances
+from pmufdi.cases import Branch, CaseError, CaseSyntaxError, parse_case
+from pmufdi.powerflow import NewtonPlan, PowerFlowError, solve_ac_power_flow
 
 from conftest import TWO_BUS_CASE
 
@@ -117,6 +125,10 @@ def test_comments_and_name_parsing():
     ("2 1 50 20", "2 1.5 50 20", 6, 7),             # a bus's type
     # each token at its own place, not where its text first appears
     ("2 1 50 20 0 0 1 1 0 138", "2 1 5e1 20 0 0 1 1 e1 138", 6, 24),
+    ("= 100;", "= 1-2;", 3, 15),                    # the MVA base
+    ("= 100;", "= 1e400;", 3, 15),
+    # a second branch on the first one's line: its own row and columns
+    ("0 0 0 0 0 1;", "0 0 0 0 0 1; 2 1.5 0.02 0.2 0 0 0 0 0 0 1;", 12, 35),
 ])
 def test_unmeant_numbers_rejected_at_their_place(old, new, line, column):
     text = TWO_BUS_CASE.replace(old, new)
@@ -126,3 +138,79 @@ def test_unmeant_numbers_rejected_at_their_place(old, new, line, column):
     assert (err.value.line, err.value.column) == (line, column)
     token = text.splitlines()[line - 1][column - 1:].split()[0].rstrip(";")
     assert repr(token) in str(err.value)
+
+
+def test_rows_end_at_semicolons_as_well_as_line_ends():
+    text = TWO_BUS_CASE.replace("0 0 0 0 0 1;", "0 0 0 0 0 1; 2 1 0.02 0.2 0 0 0 0 0 0 1;")
+    case = parse_case(text)
+    assert case.n_branch == 2
+    assert case.branches[1] == Branch(2, 2, 1, 0.02, 0.2, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("row, where", [
+    ("1 2 0.01 0.1 0 0 0 0 1e-300 0 1", "branch 1"),     # tap^2 underflows to 0
+    ("1 2 0.01 0.1 0 0 0 0 1e-160 0 1", "branch 1"),     # 1/tap^2 overflows
+    ("1 2 5e-324 0 0 0 0 0 0 0 1", "branch 1"),          # 1/(r + jx) overflows
+    ("1 2 1e-308 1e-308 0 0 0 0 0.5 0 1", "branch 1"),   # ... once over tap^2
+    # two parallel branches of admittance 1e308 sum past the float range
+    ("1 2 1e-308 0 0 0 0 0 0 0 1;\n    1 2 1e-308 0 0 0 0 0 0 0 1", "bus 1"),
+])
+def test_a_non_finite_admittance_is_refused(row, where):
+    text = TWO_BUS_CASE.replace("1 2 0.01 0.1 0 0 0 0 0 0 1", row)
+    with pytest.raises(CaseError, match=where):
+        parse_case(text)
+
+
+def test_a_demand_that_overflows_per_unit_is_refused():
+    with pytest.raises(CaseError, match="bus 2.*per unit"):
+        parse_case(TWO_BUS_CASE.replace("= 100;", "= 1e-320;"))
+
+
+# the case file's tokens; a mutant edits some of them
+_PIECES = re.split(r"([^\s;]+)", TWO_BUS_CASE)
+_TOKENS = _PIECES[1::2]
+_BASE = _TOKENS.index("mpc.baseMVA") + 2
+_BRANCH = _TOKENS.index("mpc.branch") + 3          # the branch row's first token
+_R, _X, _TAP = _BRANCH + 2, _BRANCH + 3, _BRANCH + 8
+_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1.5", "1-2", "x", "nan", "-inf", "1e400", "1e200",
+                     "1e-160", "1e-300", "5e-324", ";", "[", "]"]),
+    st.floats().map(repr),
+    st.integers(-3, 3).map(str),
+)
+
+
+@example(edits=[(_BASE, "replace", "1-2")])
+@example(edits=[(_BASE, "replace", "1e400")])
+@example(edits=[(_BASE, "replace", "1e-320")])
+@example(edits=[(_TAP, "replace", "1e-300")])
+@example(edits=[(_TAP, "replace", "1e-160")])
+@example(edits=[(_R, "replace", "5e-324"), (_X, "replace", "0")])
+@example(edits=[(_R, "replace", "1e-308"), (_X, "replace", "1e-308"), (_TAP, "replace", "0.5")])
+@given(edits=st.lists(st.tuples(st.integers(0, len(_TOKENS) - 1),
+                                st.sampled_from(["replace", "delete", "insert"]), _VALUES),
+                      max_size=4))
+def test_a_mutated_case_fails_only_with_a_typed_error(edits):
+    pieces = list(_PIECES)
+    for index, op, value in edits:
+        token = pieces[2 * index + 1]
+        pieces[2 * index + 1] = {"replace": value, "delete": "", "insert": f"{value} {token}"}[op]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            case = parse_case("".join(pieces))
+            adm = build_admittances(case)
+        except CaseError:
+            return
+    for matrix in (adm.ybus, adm.yf, adm.yt):
+        assert np.isfinite(matrix).all()
+    pd = np.array([b.pd for b in case.buses])
+    qd = np.array([b.qd for b in case.buses])
+    # the power flow's own overflow warnings, as at Vg = 1e200, are not
+    # checked here; each such solve ends in PowerFlowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            solve_ac_power_flow(case, pd, qd, newton=NewtonPlan.build(case, adm.ybus))
+        except PowerFlowError:
+            pass

@@ -153,6 +153,15 @@ def test_detect_refuses_unknown_injected_buses(runner, config_path, tmp_path):
     assert not (tmp_path / "out" / "detection.csv").exists()
 
 
+def test_attack_refuses_unknown_buses(runner, config_path, tmp_path):
+    result = runner.invoke(main, ["attack", "--config", str(config_path),
+                                  "--buses", "8,999"])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--buses'" in result.output
+    assert "[999] are not buses of" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep(runner, config_path, tmp_path):
     result = runner.invoke(main, ["sweep", "--config", str(config_path),
                                   "--lambdas", "2,1000000"])

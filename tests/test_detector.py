@@ -20,9 +20,9 @@ from pmufdi.detector import (
     ThresholdPolicy,
     classify_outcome,
     detect,
-    identify_support,
     _column_space_rank,
     _decompose,
+    _flagged,
     _screen_gap,
 )
 from pmufdi.experiment import load_config
@@ -77,7 +77,7 @@ def test_naive_attack_recovered_exactly(ieee24_blocks):
     assert result.diagnostics.gap == _screen(attacked.z, dep.h_normalized.T, 1.05)
     assert result.diagnostics.gap >= 1e-3
     # flagged channels stay inside the attacked state's measurement set
-    touched = {i for i, label in enumerate(result.labels)
+    touched = {i for i, label in enumerate(dep.row_labels)
                if dep.h[i, dep.column_index(9)] != 0}
     assert set(result.channel_support) <= touched
     assert len(result.channel_support) > 0
@@ -252,7 +252,7 @@ def test_feasibility_and_certificate(ieee24_blocks):
     assert np.linalg.norm(zbar - reconstructed) <= 1e-6 * np.linalg.norm(zbar)
     assert result.objective <= nuclear_norm(zbar) * (1 + 1e-6)
     assert result.objective == pytest.approx(
-        nuclear_norm(result.z_lowrank) + result.weight * l12_norm(result.c)
+        nuclear_norm(result.z_lowrank) + 1.05 * l12_norm(result.c)
     )
 
 
@@ -333,17 +333,16 @@ def _full_height(block, dep, weight, options, thresholds):
     without the column-space reduction."""
     zbar, g = block.z, dep.h_normalized.T
     m, c, diag = _decompose(zbar, g, weight, options, dep.smax2, np.linalg.norm(zbar, 2))
-    result = DetectionResult(
-        z_lowrank=m, c=c, weight=weight,
-        state_column_norms=np.linalg.norm(c, axis=0),
-        channel_column_norms=np.linalg.norm(c @ g, axis=0),
-        state_support=(), channel_support=(),
-        observed_frob=float(np.linalg.norm(zbar)),
+    frob, state_norms = float(np.linalg.norm(zbar)), np.linalg.norm(c, axis=0)
+    return DetectionResult(
+        z_lowrank=m, c=c, state_column_norms=state_norms,
+        state_support=tuple(dep.bus_ids[i]
+                            for i in _flagged(state_norms, frob, c.shape[0], thresholds)),
+        channel_support=tuple(int(i) for i in _flagged(
+            np.linalg.norm(c @ g, axis=0), frob, c.shape[0], thresholds)),
         feasibility_residual=float(np.linalg.norm(zbar - m - c @ g)),
         objective=nuclear_norm(m) + weight * l12_norm(c),
-        bus_ids=dep.bus_ids, labels=dep.row_labels, diagnostics=diag)
-    state, channel = identify_support(result, thresholds)
-    return dataclasses.replace(result, state_support=state, channel_support=channel)
+        diagnostics=diag)
 
 
 def _cut_rank(zbar, tol_rel):
@@ -578,43 +577,39 @@ def test_naive_ramps_are_never_screened(seed):
     assert min(gaps) >= 1e-3
 
 
-def _result_with_norms(state_norms, channel_norms, frob=1.0):
+def _result_with_norms(state_norms, channel_norms):
     n = 4
     return DetectionResult(
         z_lowrank=np.zeros((n, len(channel_norms)), dtype=complex),
         c=np.zeros((n, len(state_norms)), dtype=complex),
-        weight=1.05,
         state_column_norms=np.asarray(state_norms, dtype=float),
-        channel_column_norms=np.asarray(channel_norms, dtype=float),
         state_support=(), channel_support=(),
-        observed_frob=frob,
         feasibility_residual=0.0,
         objective=0.0,
-        bus_ids=tuple(range(1, len(state_norms) + 1)),
-        labels=tuple(f"V:{i}" for i in range(len(channel_norms))),
         diagnostics=SolverDiagnostics(1, 0.0, 0.0, 1.0),
     )
 
 
+def _flags(norms, frob=1.0, thresholds=ThresholdPolicy()):
+    """The indices ``detect`` flags among the column *norms* of a 4-row
+    attack term, for data of Frobenius norm *frob*."""
+    return tuple(int(i) for i in _flagged(np.asarray(norms, dtype=float), frob, 4, thresholds))
+
+
 def test_identify_support_zero_matrix():
-    result = _result_with_norms([0.0, 0.0, 0.0], [0.0, 0.0])
-    assert identify_support(result) == ((), ())
+    assert _flags([0.0, 0.0, 0.0]) == _flags([0.0, 0.0]) == ()
 
 
 def test_identify_support_dominant_column():
-    result = _result_with_norms([1e-9, 1.0, 1e-9], [1.0, 1e-9])
-    states, channels = identify_support(result)
-    assert states == (2,)
-    assert channels == (0,)
+    assert _flags([1e-9, 1.0, 1e-9]) == (1,)
+    assert _flags([1.0, 1e-9]) == (0,)
 
 
 def test_identify_support_floor_suppresses_residue():
     # solver residue orders of magnitude under the data scale: no flags
-    result = _result_with_norms([3e-6, 2e-6], [1e-6], frob=60.0)
-    assert identify_support(result) == ((), ())
+    assert _flags([3e-6, 2e-6], frob=60.0) == _flags([1e-6], frob=60.0) == ()
     # a tighter explicit floor flags them again
-    states, _ = identify_support(result, ThresholdPolicy(floor=1e-9))
-    assert states == (1, 2)
+    assert _flags([3e-6, 2e-6], frob=60.0, thresholds=ThresholdPolicy(floor=1e-9)) == (0, 1)
 
 
 def test_threshold_policy_range():
