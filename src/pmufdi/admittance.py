@@ -35,6 +35,7 @@ def build_admittances(case: GridCase) -> AdmittanceSet:
     n, m = case.n_bus, case.n_branch
     yf = np.zeros((m, n), dtype=complex)
     yt = np.zeros((m, n), dtype=complex)
+    ybus = np.zeros((n, n), dtype=complex)
 
     for k, br in enumerate(case.branches):
         ys = 1.0 / complex(br.r, br.x)    # finite: GridCase checks
@@ -47,16 +48,9 @@ def build_admittances(case: GridCase) -> AdmittanceSet:
         yf[k, j] = -ys / np.conj(t)
         yt[k, i] = -ys / t
         yt[k, j] = ys + half_b
-
-    ybus = np.zeros((n, n), dtype=complex)
-    for k, br in enumerate(case.branches):
-        i = case.bus_index(br.from_bus)
-        j = case.bus_index(br.to_bus)
-        ybus[i, :] += yf[k, :]
-        ybus[j, :] += yt[k, :]
-    for bus in case.buses:
-        i = case.bus_index(bus.id)
-        ybus[i, i] += complex(bus.gs, bus.bs)
+        ybus[i] += yf[k]      # Cf^T Yf + Ct^T Yt by rows, a self-loop included
+        ybus[j] += yt[k]
+    ybus[np.diag_indices(n)] += [complex(bus.gs, bus.bs) for bus in case.buses]
 
     for m_ in (ybus, yf, yt):
         m_.setflags(write=False)

@@ -160,7 +160,7 @@ def generate_block(
             sol = solve_ac_power_flow(case, traj.pd[t], traj.qd[t], newton=newton, v0=v_prev)
         except PowerFlowError as exc:
             raise PowerFlowError(
-                f"power flow failed at instant {t + 1}: {exc}",
+                f"power flow failed at instant {t + 1}: {exc.reason}",
                 exc.mismatch, exc.iterations,
             ) from exc
         x[t] = sol.v

@@ -173,6 +173,9 @@ class GridCase:
         for gen in self.generators:
             if gen.bus not in index:
                 raise CaseError(f"generator references missing bus {gen.bus}")
+            if not gen.vg > 0:
+                raise CaseError(f"generator at bus {gen.bus}: voltage setpoint Vg "
+                                f"{gen.vg!r} must be positive")
 
 
 _MATRIX_RE = re.compile(r"mpc\.(?P<name>bus|gen|branch)\s*=\s*\[", re.MULTILINE)
@@ -234,7 +237,8 @@ def parse_case(text: str, name: str = "") -> GridCase:
 
     Raises :class:`CaseSyntaxError` on malformed numbers and
     :class:`CaseError` on structural problems (missing slack, dangling
-    branch endpoints, non-finite admittances, out-of-service elements).
+    branch endpoints, non-finite admittances, out-of-service elements,
+    a generator voltage setpoint that is not positive).
     """
     m = _BASE_RE.search(text)
     if m is None:

@@ -47,11 +47,14 @@ def _load(config_path, seed, out_dir, **more) -> ExperimentConfig:
 
 def _number_list(convert):
     """A click callback that parses a comma-separated list with *convert*;
-    a bad item is a usage error naming the option."""
+    a bad item is a usage error naming the option. Digit separators and
+    non-ASCII characters, which int and float would read, are bad items."""
     def parse(ctx, param, value):
         if value is None:
             return None
         try:
+            if "_" in value or not value.isascii():
+                raise ValueError(value)
             return tuple(convert(item) for item in value.split(","))
         except ValueError:
             raise click.BadParameter(

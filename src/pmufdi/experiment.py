@@ -12,6 +12,7 @@ threads, one thread included; the report does not depend on the count.
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import math
 import numbers
@@ -182,7 +183,10 @@ def _build(key: str, cls, mapping):
         name = _FIELDS.get(path, sub)
         if name not in hints or _KEYS.get(name, path) != path:
             raise ConfigError(f"unknown config key {path!r}")
-        kind, value = hints[name], _tuples(value)
+        try:
+            kind, value = hints[name], _tuples(value)
+        except RecursionError:                      # a YAML alias inside its own anchor
+            raise ConfigError(f"{path} contains itself") from None
         section = next((k for k in (kind, *typing.get_args(kind))
                         if dataclasses.is_dataclass(k)), None)
         if section is None:
@@ -213,7 +217,8 @@ def config_from_mapping(raw: dict, base_dir: Path | None = None) -> ExperimentCo
 def load_config(path: str | Path, **overrides) -> ExperimentConfig:
     """Read a YAML experiment config; keyword overrides replace file values.
     A file that is not UTF-8 YAML raises ConfigError naming the path, and
-    the line and column where the YAML parser stopped."""
+    the line and column where the YAML parser stopped; a bad value in the
+    file raises ConfigError naming the path and the key."""
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -225,7 +230,10 @@ def load_config(path: str | Path, **overrides) -> ExperimentConfig:
         raise ConfigError(f"{path}{where}: {getattr(exc, 'problem', None) or exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    cfg = config_from_mapping(raw, base_dir=path.parent)
+    try:
+        cfg = config_from_mapping(raw, base_dir=path.parent)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
@@ -347,14 +355,7 @@ def _trace_series(cfg, block, dep) -> tuple[TraceRow, ...]:
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    def scrub(value):               # as meta.json reads back: lists, at any depth
-        if isinstance(value, dict):
-            return {k: scrub(v) for k, v in value.items()}
-        if isinstance(value, tuple):
-            return [scrub(v) for v in value]
-        return value
-
-    echo = scrub(dataclasses.asdict(cfg))
+    echo = json.loads(json.dumps(dataclasses.asdict(cfg)))     # as meta.json reads back
     # where the report lands and how many threads ran it do not affect
     # its contents, so they stay out of the reproducibility record
     echo.pop("out_dir", None)

@@ -6,9 +6,13 @@ Gaussian active-power disturbance whose scale parameter decays as
 leave its reading ambiguous; here it is fixed: the parameter is a
 variance in MW^2, converted to per unit by the MVA base, and one value
 is drawn per instant and added to every bus, which keeps the
-disturbance essentially rank-one. Reactive demand follows the perturbed
-active demand at the base power factor. Demands that would go negative
-are clamped at zero and counted.
+disturbance essentially rank-one. The draws of all instants come from
+one vector call to the generator, which yields the same values as one
+call per instant. Where ``decay**(t - onset)`` overflows, the variance
+has decayed to 0 and the draw is an exact 0; where the variance grows
+past the float range, the trajectory is refused. Reactive demand follows
+the perturbed active demand at the base power factor. Demands that would
+go negative are clamped at zero and counted.
 """
 
 from __future__ import annotations
@@ -36,8 +40,14 @@ class DisturbancePolicy:
             raise ValueError("magnitude must be >= 0 and decay > 0")
 
     def parameter(self, t: int, onset: int) -> float:
-        """Raw decayed scale parameter at instant *t* (1-based)."""
-        return self.magnitude / self.decay ** (t - onset)
+        """Raw decayed scale parameter at instant *t* (1-based): 0 where
+        ``decay**(t - onset)`` overflows, inf where it underflows to 0."""
+        try:
+            return self.magnitude / self.decay ** (t - onset)
+        except OverflowError:
+            return 0.0
+        except ZeroDivisionError:
+            return math.inf if self.magnitude else 0.0
 
     def sigma_pu(self, t: int, onset: int, base_mva: float) -> float:
         """Per-unit standard deviation of the draw at instant *t*."""
@@ -72,25 +82,23 @@ def perturb_loads(
     base_pd = np.array([b.pd for b in case.buses])
     base_qd = np.array([b.qd for b in case.buses])
     # reactive tracks active at the base power factor; undefined where pd == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qp_ratio = np.where(base_pd != 0.0, base_qd / np.where(base_pd == 0, 1, base_pd), 0.0)
+    qp_ratio = np.where(base_pd != 0.0, base_qd / np.where(base_pd == 0, 1, base_pd), 0.0)
 
     rng = np.random.default_rng(seed)
+    sigma = [policy.sigma_pu(t, onset, case.base_mva) for t in range(onset, n_steps + 1)]
+    draws = rng.normal(0.0, sigma)
+    bad = np.flatnonzero(~np.isfinite(draws))
+    if bad.size:
+        raise ValueError(f"disturbance decay {policy.decay!r} gives a non-finite load "
+                         f"draw at instant {onset + int(bad[0])}")
     pd = np.tile(base_pd, (n_steps, 1))
     qd = np.tile(base_qd, (n_steps, 1))
-    clamped = 0
-    for t in range(onset, n_steps + 1):
-        sigma = policy.sigma_pu(t, onset, case.base_mva)
-        if sigma == 0.0:
-            draw = np.zeros(case.n_bus)
-        else:
-            draw = np.full(case.n_bus, rng.normal(0.0, sigma))
-        new_pd = base_pd + draw
-        negative = new_pd < 0.0
-        clamped += int(np.count_nonzero(negative))
-        new_pd[negative] = 0.0
-        pd[t - 1] = new_pd
-        qd[t - 1] = np.where(base_pd != 0.0, new_pd * qp_ratio, base_qd)
+    post = pd[onset - 1:]           # a view: the disturbed rows
+    post += draws[:, None]
+    negative = post < 0.0
+    post[negative] = 0.0
+    qd[onset - 1:] = np.where(base_pd != 0.0, post * qp_ratio, base_qd)
+    clamped = int(np.count_nonzero(negative))
 
     if clamped:
         log.info("clamped %d negative demand draws to zero", clamped)

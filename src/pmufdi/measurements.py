@@ -126,24 +126,17 @@ def build_measurement_matrix(case: GridCase, plan: PmuPlan) -> DependencyMatrix:
     are the corresponding rows of Yf / Yt.
     """
     plan.validate(case)
-    adm = build_admittances(case)
-    n = case.n_bus
-    rows = []
-    labels = []
-    for bus_id in plan.voltage_buses:
-        row = np.zeros(n, dtype=complex)
-        row[case.bus_index(bus_id)] = 1.0
-        rows.append(row)
-        labels.append(f"V:{bus_id}")
-    for branch_id in plan.from_branches:
-        rows.append(adm.yf[branch_id - 1].copy())
-        labels.append(f"F:{branch_id}")
-    for branch_id in plan.to_branches:
-        rows.append(adm.yt[branch_id - 1].copy())
-        labels.append(f"T:{branch_id}")
-    if not rows:
+    labels = ([f"V:{bus_id}" for bus_id in plan.voltage_buses]
+              + [f"F:{branch_id}" for branch_id in plan.from_branches]
+              + [f"T:{branch_id}" for branch_id in plan.to_branches])
+    if not labels:
         raise PlanError("empty measurement plan")
-    h = np.vstack(rows)
+    adm = build_admittances(case)
+    h = np.vstack([
+        np.eye(case.n_bus, dtype=complex)[[case.bus_index(b) for b in plan.voltage_buses]],
+        adm.yf[[branch_id - 1 for branch_id in plan.from_branches]],
+        adm.yt[[branch_id - 1 for branch_id in plan.to_branches]],
+    ])
     h_normalized = normalize_rows(h)
     h.setflags(write=False)
     h_normalized.setflags(write=False)

@@ -40,6 +40,7 @@ class PowerFlowError(RuntimeError):
     def __init__(self, message: str, mismatch: float, iterations: int):
         super().__init__(f"{message} (max mismatch {mismatch:.3e} after "
                          f"{iterations} iterations)")
+        self.reason = message
         self.mismatch = mismatch
         self.iterations = iterations
 
@@ -155,7 +156,8 @@ def solve_ac_power_flow(
     *newton* is the case's :class:`NewtonPlan`, built here if not given.
     *v0* warm-starts the iteration; the default is a flat start with PV
     and slack magnitudes at their setpoints. Raises
-    :class:`PowerFlowError` on non-convergence or a singular Jacobian.
+    :class:`PowerFlowError` on non-convergence, a singular Jacobian or a
+    non-finite mismatch, which it names by bus.
     """
     if not (np.all(np.isfinite(pd)) and np.all(np.isfinite(qd))):
         raise ValueError("demands must be finite")
@@ -176,28 +178,32 @@ def solve_ac_power_flow(
     # in generator order, so that a bus's generators add up as listed
     np.add.at(s_spec, plan.gen_bus, plan.gen_s)
 
-    def mismatch(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ibus = ybus @ v
-        ds = v * np.conj(ibus) - s_spec
-        return np.concatenate([ds.real[pvpq], ds.imag[pq]]), ibus
-
     v = vm * np.exp(1j * va)
-    f, ibus = mismatch(v)
-    worst = float(np.max(np.abs(f))) if f.size else 0.0
     iterations = 0
-
-    while worst > _TOL:
-        if iterations >= _MAX_ITER:
-            raise PowerFlowError("power flow did not converge", worst, iterations)
-        try:
-            dx = np.linalg.solve(_jacobian(plan, v, ibus), -f)
-        except np.linalg.LinAlgError:
-            raise PowerFlowError("singular power-flow Jacobian", worst, iterations) from None
-        va[pvpq] += dx[: pvpq.size]
-        vm[pq] += dx[pvpq.size:]
-        v = vm * np.exp(1j * va)
-        f, ibus = mismatch(v)
-        worst = float(np.max(np.abs(f)))
-        iterations += 1
+    # an overflow, or a magnitude stepped to 0, shows as a non-finite
+    # mismatch, which is refused before the convergence test (a NaN would
+    # pass it); a non-finite Jacobian leads there or to a LinAlgError
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            ibus = ybus @ v
+            ds = v * np.conj(ibus) - s_spec
+            f = np.concatenate([ds.real[pvpq], ds.imag[pq]])
+            worst = float(np.max(np.abs(f))) if f.size else 0.0
+            bad = np.flatnonzero(~np.isfinite(ds))
+            if bad.size:
+                raise PowerFlowError(f"non-finite power mismatch at bus {case.buses[bad[0]].id}",
+                                     worst, iterations)
+            if worst <= _TOL:
+                break
+            if iterations >= _MAX_ITER:
+                raise PowerFlowError("power flow did not converge", worst, iterations)
+            try:
+                dx = np.linalg.solve(_jacobian(plan, v, ibus), -f)
+            except np.linalg.LinAlgError:
+                raise PowerFlowError("singular power-flow Jacobian", worst, iterations) from None
+            va[pvpq] += dx[: pvpq.size]
+            vm[pq] += dx[pvpq.size:]
+            v = vm * np.exp(1j * va)
+            iterations += 1
 
     return PowerFlowSolution(v=v, iterations=iterations, mismatch=worst)

@@ -165,30 +165,24 @@ def aggregate_rows(rows) -> tuple[AggregateRow, ...]:
 
     Windows keep their run order; set sizes are sorted within a window.
     """
-    groups: dict[tuple[str, int], list[ScenarioRow]] = {}
-    window_order: list[str] = []
+    groups: dict[str, dict[int, list[ScenarioRow]]] = {}
     for row in rows:
-        if row.error:
-            continue
-        key = (row.window, row.set_size)
-        if row.window not in window_order:
-            window_order.append(row.window)
-        groups.setdefault(key, []).append(row)
-    order = sorted(groups, key=lambda k: (window_order.index(k[0]), k[1]))
+        if not row.error:
+            groups.setdefault(row.window, {}).setdefault(row.set_size, []).append(row)
     out = []
-    for key in order:
-        members = groups[key]
-        objs = np.array([r.attacked_nuclear for r in members])
-        ratios = np.array([r.ratio for r in members])
-        out.append(AggregateRow(
-            window=key[0], set_size=key[1], count=len(members),
-            min_attacked_nuclear=float(objs.min()),
-            mean_attacked_nuclear=float(objs.mean()),
-            max_attacked_nuclear=float(objs.max()),
-            min_ratio=float(ratios.min()),
-            mean_ratio=float(ratios.mean()),
-            max_ratio=float(ratios.max()),
-        ))
+    for window, sizes in groups.items():
+        for size, members in sorted(sizes.items()):
+            objs = np.array([r.attacked_nuclear for r in members])
+            ratios = np.array([r.ratio for r in members])
+            out.append(AggregateRow(
+                window=window, set_size=size, count=len(members),
+                min_attacked_nuclear=float(objs.min()),
+                mean_attacked_nuclear=float(objs.mean()),
+                max_attacked_nuclear=float(objs.max()),
+                min_ratio=float(ratios.min()),
+                mean_ratio=float(ratios.mean()),
+                max_ratio=float(ratios.max()),
+            ))
     return tuple(out)
 
 
@@ -295,6 +289,9 @@ def _complex_cell(value: complex) -> str:
     return f"{_fmt(value.real)}{sign}{_fmt(abs(value.imag))}j"
 
 
+_BLOCK_KEYS = ("pmufdi-block", "rate_hz", "start_index", "dependency", "attacked")
+
+
 def write_block_csv(block: MeasurementBlock, path: str | Path) -> Path:
     """Write *block* atomically in the module docstring's layout; return the path."""
     meta = (f"# pmufdi-block: 1\n"
@@ -312,7 +309,9 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     """Read the layout of :func:`write_block_csv`. A malformed file, one
     whose t column does not count up by one from start_index among them,
     raises ValueError naming the file and the bad sample, channel or
-    metadata key: rate_hz must be finite and positive, and attacked 0 or 1.
+    metadata key: each key known, on one line of one cell, the layout
+    version (pmufdi-block) 1, rate_hz finite and positive, and attacked
+    0 or 1.
     """
     meta = {}
     samples = []
@@ -321,7 +320,14 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     for _, row in _csv_rows(path, "block CSV"):
         if row[0].startswith("#"):
             key, _, value = row[0].lstrip("# ").partition(":")
-            meta[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _BLOCK_KEYS:
+                raise ValueError(f"{path}: unknown metadata line '# {key}:'")
+            if len(row) > 1:
+                raise ValueError(f"{path}: '# {key}:' line has {len(row)} cells, expected 1")
+            if key in meta:
+                raise ValueError(f"{path}: '# {key}:' line given twice")
+            meta[key] = value.strip()
             continue
         if labels is None:          # a block of no channels has a header of "t" alone
             labels = tuple(row[1:])
@@ -353,6 +359,7 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
             raise ValueError(f"{path}: bad '# {key}:' value {text!r}")
         return value
 
+    number("pmufdi-block", int, lambda version: version == 1, "1")
     start = number("start_index", int)
     for k, sample in enumerate(samples):
         if sample != str(start + k):

@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code paths it checks: the power flow
 here is Gauss-Seidel rather than Newton, the bus admittance matrix is
 stamped entry by entry with scalar arithmetic, the power-flow Jacobian
-is gathered from dense n x n derivative matrices, the nuclear norm comes
-from an eigendecomposition, and the convex programs are re-solved with
+is gathered from dense n x n derivative matrices, the load trajectory
+is drawn one instant at a time, the nuclear norm comes from an
+eigendecomposition, and the convex programs are re-solved with
 derivative-free or subgradient methods.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 import scipy.optimize
 
 from pmufdi.cases import GridCase, PQ, SLACK
+from pmufdi.loads import DisturbancePolicy
 
 
 def gauss_seidel_power_flow(case: GridCase, pd, qd, tol=1e-12, max_iter=20000):
@@ -65,6 +67,33 @@ def stamp_ybus(case: GridCase) -> np.ndarray:
         i = case.bus_index(bus.id)
         y[i, i] += complex(bus.gs, bus.bs)
     return y
+
+
+def per_instant_loads(case: GridCase, n_steps: int, onset: int, seed: int,
+                      policy: DisturbancePolicy) -> tuple[np.ndarray, np.ndarray, int]:
+    """(pd, qd, clamped) of a load trajectory drawn one instant at a time,
+    with one scalar draw per instant and no draw at a zero scale."""
+    base_pd = np.array([b.pd for b in case.buses])
+    base_qd = np.array([b.qd for b in case.buses])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qp_ratio = np.where(base_pd != 0.0, base_qd / np.where(base_pd == 0, 1, base_pd), 0.0)
+    rng = np.random.default_rng(seed)
+    pd = np.tile(base_pd, (n_steps, 1))
+    qd = np.tile(base_qd, (n_steps, 1))
+    clamped = 0
+    for t in range(onset, n_steps + 1):
+        sigma = policy.sigma_pu(t, onset, case.base_mva)
+        if sigma == 0.0:
+            draw = np.zeros(case.n_bus)
+        else:
+            draw = np.full(case.n_bus, rng.normal(0.0, sigma))
+        new_pd = base_pd + draw
+        negative = new_pd < 0.0
+        clamped += int(np.count_nonzero(negative))
+        new_pd[negative] = 0.0
+        pd[t - 1] = new_pd
+        qd[t - 1] = np.where(base_pd != 0.0, new_pd * qp_ratio, base_qd)
+    return pd, qd, clamped
 
 
 def dense_jacobian(ybus: np.ndarray, v: np.ndarray, pvpq: np.ndarray,

@@ -109,3 +109,14 @@ def test_ybus_from_to_assembly(two_bus_case):
         expected[two_bus_case.bus_index(br.from_bus)] += adm.yf[k]
         expected[two_bus_case.bus_index(br.to_bus)] += adm.yt[k]
     assert np.max(np.abs(adm.ybus - expected)) == 0
+
+
+def test_a_branch_from_a_bus_to_itself_stamps_cf_yf_plus_ct_yt(two_bus_case):
+    case = dataclasses.replace(two_bus_case, branches=(
+        *two_bus_case.branches,
+        dataclasses.replace(two_bus_case.branches[0], id=2, from_bus=2, to_bus=2,
+                            b=0.3, tap=0.9, shift_deg=5.0)))
+    adm = build_admittances(case)
+    cf = np.array([[br.from_bus == bus.id for bus in case.buses] for br in case.branches])
+    ct = np.array([[br.to_bus == bus.id for bus in case.buses] for br in case.branches])
+    assert np.allclose(adm.ybus, cf.T @ adm.yf + ct.T @ adm.yt, rtol=1e-15, atol=0)

@@ -1,8 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pmufdi.blocks import MeasurementBlock, generate_block, singular_spectrum
@@ -231,6 +232,52 @@ def test_malformed_csv_names_the_cause(tmp_path, ieee24_blocks, edit, cause):
     with pytest.raises(ValueError, match=cause) as err:
         read_block_csv(path)
     assert str(path) in str(err.value)
+
+
+# edits of a block file's metadata lines: a new value, an extra cell, a
+# second line for the key with a new value, or no line
+_META_EDITS = st.tuples(
+    st.sampled_from(["pmufdi-block", "rate_hz", "start_index", "dependency", "attacked"]),
+    st.sampled_from(["value", "cell", "repeat", "drop"]),
+    st.sampled_from(["0", "1", "2", "7", "30", "-1", "x", "", "nan", "1e400", "d"]))
+
+
+@example(edits=[("rate_hz", "cell", "5")])
+@example(edits=[("start_index", "cell", "7")])
+@example(edits=[("attacked", "repeat", "1")])
+@example(edits=[("pmufdi-block", "value", "2")])
+@given(edits=st.lists(_META_EDITS, max_size=3))
+def test_a_read_block_carries_every_metadata_line_of_its_file(tmp_path_factory, edits):
+    # either ValueError, or writing the block back gives each metadata line again
+    path = tmp_path_factory.mktemp("meta") / "block.csv"
+    write_block_csv(MeasurementBlock(z=np.ones((2, 2), dtype=complex), rate_hz=30.0,
+                                     start_index=1, labels=("V:1", "V:2"),
+                                     dependency_digest="d"), path)
+    lines = path.read_text().splitlines()
+    for key, op, value in edits:
+        at = next((i for i, line in enumerate(lines) if line.startswith(f"# {key}:")), None)
+        if at is None:
+            continue
+        line = f"# {key}: {value}"
+        if op == "value":
+            lines[at] = line
+        elif op == "cell":
+            lines[at] += f",{value}"
+        elif op == "repeat":
+            lines.insert(at + 1, line)
+        else:
+            del lines[at]
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            block = read_block_csv(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+    write_block_csv(block, path)
+    written = {line.rstrip() for line in path.read_text().splitlines()}
+    assert {line.rstrip() for line in lines if line.startswith("#")} <= written
 
 
 def test_non_csv_file_names_the_file(tmp_path, ieee24_blocks):

@@ -1,7 +1,11 @@
 import re
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pmufdi.report import read_block_csv
 from pmufdi.cli import main
@@ -195,3 +199,33 @@ def test_bad_list_option_is_a_usage_error(runner, config_path, tmp_path, args, o
     result = runner.invoke(main, [*args, "--config", str(config_path)])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
+
+
+SHIPPED_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "ieee24.yaml")
+# plain ASCII decimal numbers, with the surrounding ASCII space that int and float strip
+_SPACE = "[ \t\n\r\f\v]*"
+_INT = re.compile(f"{_SPACE}[+-]?[0-9]+{_SPACE}")
+_FLOAT = re.compile(f"{_SPACE}[+-]?(([0-9]+\\.?[0-9]*|\\.[0-9]+)([eE][+-]?[0-9]+)?"
+                    f"|inf|infinity|nan){_SPACE}", re.IGNORECASE)
+_LIST_TOKENS = st.sampled_from(["8", "9", "0", "1", "05", ",", "_", ".", "e", "-", "+", " ",
+                                "inf", "nan", "x", "\uff18", "\u0663", "\u2003", "\u00b2"])
+
+
+@example(command="attack", text="8_9")
+@example(command="sweep", text="1_05")
+@example(command="attack", text="\uff18")
+@given(command=st.sampled_from(["attack", "detect", "sweep"]),
+       text=st.lists(_LIST_TOKENS, min_size=1, max_size=6).map("".join))
+def test_a_list_option_reads_only_plain_ascii_numbers(command, text):
+    option, grammar = {"attack": ("--buses", _INT), "detect": ("--injected", _INT),
+                       "sweep": ("--lambdas", _FLOAT)}[command]
+    args = ["--config", SHIPPED_CONFIG, f"{option}={text}"]
+    if command == "detect":         # parsed, not run: any existing file will do
+        args += ["--block", SHIPPED_CONFIG]
+    try:
+        main.commands[command].make_context(command, args)
+    except click.UsageError as exc:
+        assert exc.exit_code == 2
+        assert f"'{option}'" in exc.format_message()
+    else:
+        assert all(grammar.fullmatch(item) for item in text.split(","))

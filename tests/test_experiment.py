@@ -7,6 +7,7 @@ import subprocess
 import sys
 import types
 import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,54 @@ def test_generated_mappings_raise_only_config_errors(raw, system):
         assert isinstance(config_from_mapping(raw), ExperimentConfig)
     except ConfigError:
         pass
+
+
+# the shipped config's tokens, with the layout between them; a mutant edits some
+_YAML_PIECES = re.split(r"(\S+)", (CONFIG_DIR / "ieee24.yaml").read_text())
+_YAML_TOKENS = _YAML_PIECES[1::2]
+_YAML_VALUES = st.sampled_from(
+    ["&w", "*w", "[*w]", "&b", "*b", "[", "]", "{", "}", "-", ":", "#", ",", "~", "<<:", "?",
+     ".inf", "-.nan", "1e400", "0x1F", "2024-01-01", "true", "'8'", "!!binary",
+     "!!python/tuple", "[]", "{}", "x", "1.5"]) | st.integers(-2, 200).map(str)
+_SELF_REFERENCES = {
+    # windows: &w, its second item *w
+    "windows": [(_YAML_TOKENS.index("windows:") + 1, "insert", "&w"),
+                (_YAML_TOKENS.index("[91,"), "replace", "*w"),
+                (_YAML_TOKENS.index("150]"), "delete", "")],
+    "trace.buses": [(_YAML_TOKENS.index("[8]"), "replace", "&b [*b]")],
+}
+
+
+def _edit_config(tmp_dir, edits) -> Path:
+    pieces = list(_YAML_PIECES)
+    for index, op, value in edits:
+        token = pieces[2 * index + 1]
+        pieces[2 * index + 1] = {"replace": value, "delete": "", "insert": f"{value} {token}"}[op]
+    path = tmp_dir / "cfg.yaml"
+    path.write_text("".join(pieces))
+    return path
+
+
+@example(edits=_SELF_REFERENCES["windows"])
+@example(edits=_SELF_REFERENCES["trace.buses"])
+@given(edits=st.lists(st.tuples(st.integers(0, len(_YAML_TOKENS) - 1),
+                                st.sampled_from(["replace", "delete", "insert"]), _YAML_VALUES),
+                      max_size=4))
+def test_a_mutated_config_file_fails_only_with_a_config_error(tmp_path_factory, edits):
+    path = _edit_config(tmp_path_factory.mktemp("cfg"), edits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert isinstance(load_config(path), ExperimentConfig)
+        except ConfigError as exc:
+            assert str(path) in str(exc)
+
+
+@pytest.mark.parametrize("key", sorted(_SELF_REFERENCES))
+def test_a_config_value_that_contains_itself_names_its_key(tmp_path, key):
+    path = _edit_config(tmp_path, _SELF_REFERENCES[key])
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {key} contains itself$"):
+        load_config(path)
 
 
 def test_every_config_annotation_has_a_type_rule():

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pmufdi.loads import DisturbancePolicy, perturb_loads
+
+from oracles import per_instant_loads
 
 
 def base_pd(case):
@@ -89,3 +93,37 @@ def test_trajectories_are_immutable(ieee24_case):
     traj = perturb_loads(ieee24_case, 10, 1, seed=1)
     with pytest.raises(ValueError):
         traj.pd[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("policy, onset", [
+    (DisturbancePolicy(), 31),
+    (DisturbancePolicy(magnitude=0.0), 31),
+    (DisturbancePolicy(magnitude=1e6), 31),        # most draws clamped
+    (DisturbancePolicy(decay=1.0), 31),
+    (DisturbancePolicy(), 1),
+    (DisturbancePolicy(), 150),
+    (DisturbancePolicy(magnitude=3e4, decay=1.01), 2),
+], ids=["default", "magnitude-0", "magnitude-1e6", "decay-1", "onset-1", "onset-150",
+        "slow-decay"])
+def test_trajectory_equals_the_per_instant_oracle(ieee24_case, policy, onset):
+    traj = perturb_loads(ieee24_case, 150, onset, seed=7, policy=policy)
+    pd, qd, clamped = per_instant_loads(ieee24_case, 150, onset, 7, policy)
+    assert traj.pd.tobytes() == pd.tobytes()
+    assert traj.qd.tobytes() == qd.tobytes()
+    assert traj.clamped == clamped
+
+
+def test_a_long_trajectory_decays_to_exact_zero_draws(ieee24_case):
+    # 1.1**(t - onset) passes the float range about 7,450 instants after the onset
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = perturb_loads(ieee24_case, 9000, 31, seed=1)
+    assert np.array_equal(traj.pd[-1000:], np.tile(base_pd(ieee24_case), (1000, 1)))
+    assert DisturbancePolicy().parameter(9000, 31) == 0.0
+
+
+def test_a_variance_past_the_float_range_is_refused(ieee24_case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"decay 0\.9 .* at instant \d+"):
+            perturb_loads(ieee24_case, 9000, 31, seed=1, policy=DisturbancePolicy(decay=0.9))

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 
 from pmufdi import blocks, powerflow
 from pmufdi.admittance import build_admittances
-from pmufdi.cases import PQ, SLACK, parse_case
+from pmufdi.cases import PQ, SLACK, CaseError, parse_case
+from pmufdi.loads import DisturbancePolicy
 from pmufdi.experiment import load_config
 from pmufdi.powerflow import NewtonPlan, PowerFlowError, solve_ac_power_flow
 
+from conftest import TWO_BUS_CASE
 from oracles import dense_jacobian, gauss_seidel_power_flow
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -228,3 +231,28 @@ def test_a_plan_built_for_the_case_gives_the_voltages_of_none(ieee24_case):
     newton = NewtonPlan.build(ieee24_case, build_admittances(ieee24_case).ybus)
     sol = solve_ac_power_flow(ieee24_case, pd, qd, newton=newton)
     assert sol.v.tobytes() == solve_ac_power_flow(ieee24_case, pd, qd).v.tobytes()
+
+
+@pytest.mark.parametrize("vg, cause", [
+    ("1e200", "non-finite power mismatch at bus 1 "),   # the slack's injection overflows
+    ("1e150", "singular"),                              # the first step sets |V2| to 0
+])
+def test_an_extreme_setpoint_fails_with_a_typed_error_and_no_warning(vg, cause):
+    case = parse_case(TWO_BUS_CASE.replace("1 0 0 100 -100 1.0", f"1 0 0 100 -100 {vg}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PowerFlowError, match=cause):
+            solve_ac_power_flow(case, *_demands(case))
+
+
+@pytest.mark.parametrize("vg", ["0", "-1"])
+def test_a_non_positive_setpoint_is_refused(vg):
+    with pytest.raises(CaseError, match="generator at bus 1: voltage setpoint"):
+        parse_case(TWO_BUS_CASE.replace("1 0 0 100 -100 1.0", f"1 0 0 100 -100 {vg}"))
+
+
+def test_a_failed_instant_names_its_mismatch_once(ieee24_case, ieee24_plan):
+    with pytest.raises(PowerFlowError, match="failed at instant") as err:
+        blocks.generate_block(ieee24_case, ieee24_plan, 20.0, 30.0, seed=2024,
+                              policy=DisturbancePolicy(decay=0.5))
+    assert str(err.value).count("max mismatch") == 1
