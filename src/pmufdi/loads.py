@@ -11,8 +11,10 @@ one vector call to the generator, which yields the same values as one
 call per instant. Where ``decay**(t - onset)`` overflows, the variance
 has decayed to 0 and the draw is an exact 0; where the variance grows
 past the float range, the trajectory is refused. Reactive demand follows
-the perturbed active demand at the base power factor. Demands that would
-go negative are clamped at zero and counted.
+the perturbed active demand at the base power factor; a bus whose factor
+Qd / Pd lies past the float range, as under a subnormal Pd, is refused
+with a CaseError naming it. Demands that would go negative are clamped
+at zero and counted.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cases import GridCase
+from .cases import CaseError, GridCase
 
 log = logging.getLogger(__name__)
 
@@ -82,7 +84,14 @@ def perturb_loads(
     base_pd = np.array([b.pd for b in case.buses])
     base_qd = np.array([b.qd for b in case.buses])
     # reactive tracks active at the base power factor; undefined where pd == 0
-    qp_ratio = np.where(base_pd != 0.0, base_qd / np.where(base_pd == 0, 1, base_pd), 0.0)
+    loaded = base_pd != 0.0
+    with np.errstate(over="ignore"):
+        qp_ratio = np.divide(base_qd, base_pd, out=np.zeros_like(base_qd), where=loaded)
+    bad = np.flatnonzero(~np.isfinite(qp_ratio))
+    if bad.size:
+        bus = case.buses[int(bad[0])]
+        raise CaseError(f"bus {bus.id}: its power factor Qd / Pd = {bus.qd!r} / {bus.pd!r} "
+                        f"per unit is past the float range")
 
     rng = np.random.default_rng(seed)
     sigma = [policy.sigma_pu(t, onset, case.base_mva) for t in range(onset, n_steps + 1)]
@@ -97,7 +106,7 @@ def perturb_loads(
     post += draws[:, None]
     negative = post < 0.0
     post[negative] = 0.0
-    qd[onset - 1:] = np.where(base_pd != 0.0, post * qp_ratio, base_qd)
+    qd[onset - 1:] = np.where(loaded, post * qp_ratio, base_qd)
     clamped = int(np.count_nonzero(negative))
 
     if clamped:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pmufdi.detector
@@ -23,10 +23,11 @@ from pmufdi.detector import (
     _column_space_rank,
     _decompose,
     _flagged,
+    _loop_gap,
     _screen_gap,
 )
 from pmufdi.experiment import load_config
-from pmufdi.kernels import l12_norm, nuclear_norm
+from pmufdi.kernels import l12_norm, nuclear_norm, svt
 
 from conftest import recording_mstep_ratios
 from oracles import SVT_REGIME, subgradient_detector_reference
@@ -292,7 +293,8 @@ def test_small_instances_match_subgradient_reference():
             g_rows /= np.linalg.norm(g_rows, axis=1, keepdims=True)
         weight = 1.05
         m, c, diag = _decompose(zbar, g_rows, weight, SolverOptions(),
-                                np.linalg.norm(g_rows, 2) ** 2, np.linalg.norm(zbar, 2))
+                                np.linalg.norm(g_rows, 2) ** 2,
+                                np.linalg.svd(zbar, compute_uv=False))
         admm_obj = nuclear_norm(m) + weight * l12_norm(c)
         reference = subgradient_detector_reference(zbar, g_rows, weight)
         assert admm_obj <= reference + 1e-3 * max(1.0, reference)
@@ -332,7 +334,8 @@ def _full_height(block, dep, weight, options, thresholds):
     """``detect``'s result with the loop run on all N rows of *block*,
     without the column-space reduction."""
     zbar, g = block.z, dep.h_normalized.T
-    m, c, diag = _decompose(zbar, g, weight, options, dep.smax2, np.linalg.norm(zbar, 2))
+    m, c, diag = _decompose(zbar, g, weight, options, dep.smax2,
+                            np.linalg.svd(zbar, compute_uv=False))
     frob, state_norms = float(np.linalg.norm(zbar)), np.linalg.norm(c, axis=0)
     return DetectionResult(
         z_lowrank=m, c=c, state_column_norms=state_norms,
@@ -492,6 +495,79 @@ def test_column_space_solve_ignores_zero_rows_and_row_rotations(
     u = np.linalg.svd(zbar)[0][:, :k]
     for part in (result.z_lowrank, result.c):
         assert np.linalg.norm(part - u @ (u.conj().T @ part)) <= 1e-12 * np.linalg.norm(zbar)
+
+
+def test_loop_certificate_takes_the_exact_spectral_norm_of_its_dual_point():
+    # an M-step input A = diag(1, 1e-7) V^H of 2 x 200: at the threshold
+    # 1e-8 the exact prox keeps the second singular value, but svt's
+    # eigenvalue cut, 200 eps s_1^2 = 4.4e-14 above s_2^2 = 1e-14, drops it,
+    # so Y = rho (A - M) has ||Y||_2 = 10. The rows of G are orthogonal to
+    # that direction, so the column test alone reads kappa = 1
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((200, 5)) + 1j * rng.standard_normal((200, 5)))[0]
+    a = np.array([[1.0], [1e-7]]) * q[:, :2].conj().T
+    g = (q[:, [0, 0, 0]] + q[:, 2:5]).conj().T / np.sqrt(2.0)
+    smax2, weight, tol = np.linalg.norm(g, 2) ** 2, 1.05, 1e-7
+    bypass = 1.0 + 1e-7                      # ||A||_*
+
+    def gaps(rho):
+        d = svt(a, 1.0 / rho) - a
+        grad = d @ g.conj().T / smax2
+        value = -rho * np.vdot(d, a).real
+        reach = rho * smax2 * np.linalg.norm(grad, axis=0).max()
+        cheap = max(0.0, (bypass - value / max(1.0, reach / weight)) / bypass)
+        return rho * np.linalg.norm(d, 2), cheap, _loop_gap(
+            d, grad, a, rho, smax2, weight, bypass, tol)
+
+    norm, cheap, gap = gaps(1e8)
+    assert norm == pytest.approx(10.0, rel=1e-6)
+    # the bound without ||Y||_2 reads a dual value above the primal one
+    assert cheap <= tol and gap is None
+    # at the threshold 2e-7 the exact prox drops s_2 too, ||Y||_2 = 1 up to
+    # svt's rounding, and the point certifies: (bypass - (1 + 5e-8)) / bypass
+    norm, cheap, gap = gaps(5e6)
+    assert norm == pytest.approx(1.0, rel=1e-6)
+    assert gap == pytest.approx(5e-8, rel=1e-2)
+
+
+@given(seed=st.integers(0, 2**32 - 1), ramp=st.sampled_from([0.0, 1e-6, 1e-3, 0.5]))
+# two blocks that a certificate without its column test would pass, at
+# 2.5e-7 and 1.7e-7 above the optimum
+@example(seed=62, ramp=1e-3)
+@example(seed=118, ramp=1e-3)
+@settings(max_examples=30)
+def test_a_loop_certificate_holds_against_the_uncertified_solve(ieee24_blocks, seed, ramp):
+    # 2-10 random row mixes of the 1-3 s window, attacked on one or two
+    # buses by a designed attack or by a naive ramp of the given scale:
+    # wherever the loop stops on its certificate, the loop run to its
+    # residual stop, with neither certificate, ends within tol_rel of the
+    # bypass point's objective. (A solve at tol_rel 1e-11 stalls near
+    # residuals of 3e-8 on such blocks, and the subgradient reference stays
+    # at the bypass point even where the optimum lies 4e-3 below it.)
+    _, block, dep = ieee24_blocks
+    window = block.window(31, 90)
+    rng = np.random.default_rng(seed)
+    rows, size = int(rng.integers(2, 11)), int(rng.integers(1, 3))
+    mix = rng.standard_normal((rows, 60)) + 1j * rng.standard_normal((rows, 60))
+    mixed = dataclasses.replace(window, z=mix @ window.z)
+    buses = tuple(int(b) for b in rng.choice(dep.bus_ids, size, replace=False))
+    if ramp:
+        attacked = naive_ramp_attack(mixed, dep, buses, scale=ramp, seed=seed)[1]
+    else:
+        attacked = design_attack(mixed, dep, buses).attacked_block
+    tol = SolverOptions().tol_rel
+    result = detect(attacked, dep)
+    if result.diagnostics.loop_gap is None:
+        return
+    assert 0.0 <= result.diagnostics.loop_gap <= tol
+    assert result.diagnostics.iterations > 0 and result.diagnostics.gap > tol
+    total = float(np.sum(np.linalg.svd(attacked.z, compute_uv=False)))
+    assert result.objective == pytest.approx(total, rel=1e-12)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pmufdi.detector, "_screen_gap", lambda *args: np.inf)
+        patch.setattr(pmufdi.detector, "_loop_gap", lambda *args: None)
+        solved = detect(attacked, dep)
+    assert total - solved.objective <= tol * total
 
 
 def _dual_gap_by_rank(zbar, g, weight):

@@ -3,8 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from pmufdi.cases import CaseError, parse_case
 from pmufdi.loads import DisturbancePolicy, perturb_loads
 
+from conftest import TWO_BUS_CASE
 from oracles import per_instant_loads
 
 
@@ -127,3 +129,13 @@ def test_a_variance_past_the_float_range_is_refused(ieee24_case):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"decay 0\.9 .* at instant \d+"):
             perturb_loads(ieee24_case, 9000, 31, seed=1, policy=DisturbancePolicy(decay=0.9))
+
+
+def test_a_power_factor_past_the_float_range_is_refused():
+    # bus 2's Pd of 1e-309 MW is subnormal per unit and its Qd of 20 MW is
+    # not, so Qd / Pd overflows
+    case = parse_case(TWO_BUS_CASE.replace("2 1 50 20", "2 1 1e-309 20"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CaseError, match=r"^bus 2: .*power factor"):
+            perturb_loads(case, 10, 2, seed=1)
