@@ -31,10 +31,6 @@ class StateBlock:
     iterations: tuple[int, ...]   # power-flow iterations per row
     mismatches: tuple[float, ...]
 
-    @property
-    def n_steps(self) -> int:
-        return self.x.shape[0]
-
 
 @dataclass(frozen=True)
 class MeasurementBlock:

@@ -5,6 +5,8 @@ file assigning ``baseMVA`` plus ``bus``, ``gen`` and ``branch`` tables to a
 struct. A row ends at ``;`` and at a line end. Each row must have at
 least the standard columns listed below, of which only the starred ones
 are read; trailing columns are ignored so standard files load unchanged.
+A malformed number, or a row short of the standard columns, raises
+:class:`CaseSyntaxError` at its line and column (a row's first token).
 
 bus:    bus_i*, type* (1 PQ / 2 PV / 3 slack), Pd*, Qd*, Gs*, Bs*, area,
         Vm*, Va*, baseKV, zone, Vmax, Vmin
@@ -26,11 +28,9 @@ from pathlib import Path
 
 PQ, PV, SLACK = 1, 2, 3
 
-_BUS_COLS = 13
-_GEN_COLS = 10
-_BRANCH_COLS = 11
-# 0-based columns of each table that hold integers: ids, bus type, status
-_INT_COLS = {"bus": (0, 1), "gen": (0, 7), "branch": (0, 1, 10)}
+# each table's standard column count and its 0-based columns that hold
+# integers: ids, bus type, status
+_TABLES = {"bus": (13, (0, 1)), "gen": (10, (0, 7)), "branch": (11, (0, 1, 10))}
 
 
 class CaseError(ValueError):
@@ -206,14 +206,15 @@ def _parse_matrix(text: str, start: int, name: str) -> list[list[float]]:
     """Parse rows of numbers between ``[`` at ``start`` and the closing ``];``.
     A row ends at ``;`` and at a line end. A token that is not a finite
     number, or not an integer in an integer column, raises CaseSyntaxError
-    at its own line and column."""
+    at its own line and column; a row shorter than the table's standard
+    columns raises it at the row's first token."""
     end = text.find("]", start)
     if end < 0:
         line = text.count("\n", 0, start) + 1
         raise CaseSyntaxError(f"unterminated {name} matrix", line, 1)
     body = text[start:end]
     base_line = text.count("\n", 0, start) + 1
-    where, int_cols = f"{name} table", _INT_COLS[name]
+    where, (width, int_cols) = f"{name} table", _TABLES[name]
     rows, row = [], []
     for off, raw in enumerate(body.split("\n")):
         # the appended ";" ends the line's last row
@@ -221,10 +222,15 @@ def _parse_matrix(text: str, start: int, name: str) -> list[list[float]]:
             piece = token.group()
             if piece == ";":
                 if row:
+                    if len(row) < width:
+                        raise CaseSyntaxError(f"{name} row has {len(row)} columns, "
+                                              f"expected >= {width}", *first)
                     rows.append(row)
                 row = []
                 continue
             line, column = base_line + off, token.start() + 1
+            if not row:
+                first = line, column
             value = _number(piece, where, line, column)
             if len(row) in int_cols and not value.is_integer():
                 raise CaseSyntaxError(f"non-integer {piece!r} in {where}", line, column)
@@ -256,7 +262,7 @@ def parse_case(text: str, name: str = "") -> GridCase:
     tables: dict[str, list[list[float]]] = {}
     for m in _MATRIX_RE.finditer(text):
         tables[m.group("name")] = _parse_matrix(text, m.end(), m.group("name"))
-    for required in ("bus", "gen", "branch"):
+    for required in _TABLES:
         if required not in tables:
             raise CaseError(f"missing mpc.{required} table")
 
@@ -269,8 +275,6 @@ def parse_case(text: str, name: str = "") -> GridCase:
 
     buses = []
     for row in tables["bus"]:
-        if len(row) < _BUS_COLS:
-            raise CaseError(f"bus row has {len(row)} columns, expected >= {_BUS_COLS}")
         pd, qd, gs, bs = per_unit(row[2:6], f"bus {int(row[0])}")
         buses.append(Bus(
             id=int(row[0]), type=int(row[1]), pd=pd, qd=qd, gs=gs, bs=bs,
@@ -279,8 +283,6 @@ def parse_case(text: str, name: str = "") -> GridCase:
 
     gens = []
     for row in tables["gen"]:
-        if len(row) < _GEN_COLS:
-            raise CaseError(f"gen row has {len(row)} columns, expected >= {_GEN_COLS}")
         if int(row[7]) != 1:
             raise CaseError(f"generator at bus {int(row[0])} is out of service")
         pg, qg = per_unit(row[1:3], f"generator at bus {int(row[0])}")
@@ -288,8 +290,6 @@ def parse_case(text: str, name: str = "") -> GridCase:
 
     branches = []
     for i, row in enumerate(tables["branch"], start=1):
-        if len(row) < _BRANCH_COLS:
-            raise CaseError(f"branch row has {len(row)} columns, expected >= {_BRANCH_COLS}")
         if int(row[10]) != 1:
             raise CaseError(f"branch {i} is out of service")
         branches.append(Branch(

@@ -3,7 +3,10 @@
 Subcommands: generate (persist a synthetic block), attack (design one
 attack), detect (run the detector on a stored block), experiment (full
 pipeline to a report directory), sweep (detector-weight sweep). All
-take an experiment config file; common flags override its fields.
+take an experiment config file, which holds every setting: the detector
+weight lambda, the detection windows (attack designs on the first) and
+the attacked-set sizes. Only --seed and --out-dir, and experiment's
+--max-set-size, --limit and --workers, override it.
 """
 
 from __future__ import annotations
@@ -93,17 +96,13 @@ def generate(config_path, seed, out_dir):
 @_common_options
 @click.option("--buses", required=True, callback=_number_list(int),
               help="attacked-state set, comma separated bus ids (e.g. 8 or 8,9)")
-@click.option("--window", "window_index", type=int, default=1, show_default=True,
-              help="1-based index into the config's detection windows")
-def attack(config_path, seed, out_dir, buses, window_index):
-    """Design one attack and write the attacked block plus a summary row."""
+def attack(config_path, seed, out_dir, buses):
+    """Design one attack on the config's first detection window and write
+    the attacked block plus a summary row."""
     cfg = _load(config_path, seed, out_dir)
-    if not 1 <= window_index <= len(cfg.windows):
-        raise click.BadParameter(f"window must be in 1..{len(cfg.windows)}")
     case, block, dep = cfg.build_block()
     _refuse_unknown_buses(buses, case, "--buses")
-    first, last = cfg.windows[window_index - 1]
-    window = block.window(first, last)
+    window = block.window(*cfg.windows[0])
     scen = design_attack(window, dep, buses)
     clean = nuclear_norm(window.z)
     out = Path(cfg.out_dir)
@@ -121,13 +120,11 @@ def attack(config_path, seed, out_dir, buses, window_index):
 @click.option("--block", "block_path", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="measurement block CSV, as written by generate or attack")
-@click.option("--lambda", "weight", type=float, default=None,
-              help="detector weight (default from config)")
 @click.option("--injected", default=None, callback=_number_list(int),
               help="attacked buses actually injected, for outcome labelling")
-def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
+def detect_cmd(config_path, seed, out_dir, block_path, injected):
     """Run the detector on a stored block and write detection.csv."""
-    cfg = _load(config_path, seed, out_dir, weight=weight)
+    cfg = _load(config_path, seed, out_dir)
     case, plan = cfg.load_grid()
     dep = build_measurement_matrix(case, plan)
     # an unknown id would otherwise count as injected, and a clean block
@@ -150,24 +147,20 @@ def detect_cmd(config_path, seed, out_dir, block_path, weight, injected):
 
 @main.command()
 @_common_options
-@click.option("--lambda", "weight", type=float, default=None,
-              help="override the detector weight")
 @click.option("--max-set-size", type=int, default=None,
               help="override the largest attacked-set size")
 @click.option("--limit", type=int, default=None,
               help="cap the number of attacked sets per window")
 @click.option("--workers", type=int, default=None,
               help="scenario threads, each running BLAS single-threaded")
-def experiment(config_path, seed, out_dir, weight, max_set_size,
-               limit, workers):
+def experiment(config_path, seed, out_dir, max_set_size, limit, workers):
     """Run the full pipeline and write the report directory.
 
     Exits 2 when any designed attack is flagged strictly inside its
     attacked set, which the design guarantees cannot happen.
     """
     cfg = _load(config_path, seed, out_dir,
-                weight=weight, max_set_size=max_set_size,
-                limit=limit, workers=workers)
+                max_set_size=max_set_size, limit=limit, workers=workers)
     report = run_experiment(cfg)
     save_report(report, cfg.out_dir)
     counts = report.meta["outcomes"]

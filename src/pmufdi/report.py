@@ -15,10 +15,12 @@ Both readers skip blank lines, and a file that does not decode as text
 raises ValueError naming it.
 
 A measurement block is stored in the same CSV dialect and number format
-by :func:`write_block_csv`: "# key: value" metadata lines, a label
-header, complex entries as "<re><+/-><im>j" with the sign bit of every
-part kept, and a t column of sample indices counting up by one from
-start_index. A block of no channels keeps its header of "t" alone.
+by :func:`write_block_csv`: five "# key: value" metadata lines
+(pmufdi-block, rate_hz, start_index, dependency, attacked), each
+required on reading, a label header, complex entries as
+"<re><+/-><im>j" with the sign bit of every part kept, and a t column
+of sample indices counting up by one from start_index. A block of no
+channels keeps its header of "t" alone.
 :func:`read_block_csv` names the file and the bad sample, channel or
 metadata key of a malformed input, and the file of one that is not a
 block CSV at all.
@@ -309,9 +311,9 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     """Read the layout of :func:`write_block_csv`. A malformed file, one
     whose t column does not count up by one from start_index among them,
     raises ValueError naming the file and the bad sample, channel or
-    metadata key: each key known, on one line of one cell, the layout
-    version (pmufdi-block) 1, rate_hz finite and positive, and attacked
-    0 or 1.
+    metadata key: each of the five keys present, known, on one line of
+    one cell, the layout version (pmufdi-block) 1, rate_hz finite and
+    positive, and attacked 0 or 1.
     """
     meta = {}
     samples = []
@@ -347,8 +349,8 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
     if not rows:
         raise ValueError(f"{path}: no measurement rows")
 
-    def number(key, convert, valid=lambda value: True, default=None):
-        text = meta.get(key, default)
+    def number(key, convert, valid=lambda value: True):
+        text = meta.get(key)
         if text is None:
             raise ValueError(f"{path}: missing '# {key}:' line")
         try:
@@ -359,21 +361,22 @@ def read_block_csv(path: str | Path) -> MeasurementBlock:
             raise ValueError(f"{path}: bad '# {key}:' value {text!r}")
         return value
 
-    number("pmufdi-block", int, lambda version: version == 1, "1")
+    number("pmufdi-block", int, lambda version: version == 1)
     start = number("start_index", int)
     for k, sample in enumerate(samples):
         if sample != str(start + k):
             raise ValueError(f"{path}: sample {sample} out of order, "
                              f"expected sample {start + k}")
     rate_hz = number("rate_hz", float, lambda rate: math.isfinite(rate) and rate > 0)
-    attacked = number("attacked", int, lambda flag: flag in (0, 1), "0")
+    attacked = number("attacked", int, lambda flag: flag in (0, 1))
+    digest = number("dependency", str)
     try:
         return MeasurementBlock(
             z=np.array(rows, dtype=complex),
             rate_hz=rate_hz,
             start_index=start,
             labels=labels,
-            dependency_digest=meta.get("dependency", ""),
+            dependency_digest=digest,
             attacked=bool(attacked),
         )
     except ValueError as exc:       # the block's own checks, such as a non-finite entry

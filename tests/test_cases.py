@@ -140,6 +140,19 @@ def test_unmeant_numbers_rejected_at_their_place(old, new, line, column):
     assert repr(token) in str(err.value)
 
 
+@pytest.mark.parametrize("old, new, line", [
+    ("1 1.1 0.9;", "1 1.1;", 5),                    # a bus row of 12 columns
+    ("200 0;", "200;", 9),                          # a gen row of 9
+    ("0 0 0 0 0 1;", "0 0 0 0 1;", 12),             # a branch row of 10
+], ids=["bus", "gen", "branch"])
+def test_a_short_row_is_refused_at_its_first_token(old, new, line):
+    text = TWO_BUS_CASE.replace(old, new, 1)
+    assert text != TWO_BUS_CASE
+    with pytest.raises(CaseSyntaxError, match="columns, expected >=") as err:
+        parse_case(text)
+    assert (err.value.line, err.value.column) == (line, 5)
+
+
 def test_rows_end_at_semicolons_as_well_as_line_ends():
     text = TWO_BUS_CASE.replace("0 0 0 0 0 1;", "0 0 0 0 0 1; 2 1 0.02 0.2 0 0 0 0 0 0 1;")
     case = parse_case(text)

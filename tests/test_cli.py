@@ -56,7 +56,9 @@ def test_attack_and_detect(runner, config_path, tmp_path):
     assert result.exit_code == 0, result.output
     attacked = tmp_path / "out" / "attacked_block.csv"
     assert result.output.splitlines()[-1] == str(attacked)
-    assert read_block_csv(attacked).attacked
+    block = read_block_csv(attacked)
+    assert block.attacked
+    assert block.start_index == 31          # the config's first window
     assert (tmp_path / "out" / "attack.csv").read_text().splitlines()[0] == (
         "set_size,buses,clean_nuclear,attacked_nuclear,ratio")
 
@@ -70,18 +72,6 @@ def test_attack_and_detect(runner, config_path, tmp_path):
     assert header == ("outcome,weight,objective,feasibility_residual,iterations,"
                       "flagged_buses,flagged_channels,max_state_column_norm")
     assert row.startswith("bypassed,1.05,")
-
-
-@pytest.mark.parametrize("weight", ["0", "nan"])
-def test_detect_rejects_nonpositive_lambda(runner, config_path, tmp_path, weight):
-    runner.invoke(main, ["generate", "--config", str(config_path)])
-    result = runner.invoke(main, [
-        "detect", "--config", str(config_path),
-        "--block", str(tmp_path / "out" / "block.csv"), "--lambda", weight,
-    ])
-    assert result.exit_code != 0
-    assert "lambda" in str(result.exception)
-    assert not (tmp_path / "out" / "detection.csv").exists()
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf"])
@@ -181,10 +171,20 @@ def test_bad_config_fails(runner, tmp_path):
     assert result.exit_code != 0
 
 
-def test_attack_rejects_bad_window(runner, config_path):
-    result = runner.invoke(main, ["attack", "--config", str(config_path),
-                                  "--buses", "8", "--window", "9"])
-    assert result.exit_code != 0
+@pytest.mark.parametrize("args", [
+    ["experiment", "--lambda", "2"],
+    ["detect", "--block", "{block}", "--lambda", "2"],
+    ["attack", "--buses", "8", "--window", "2"],
+], ids=["experiment-lambda", "detect-lambda", "attack-window"])
+def test_settings_of_the_config_are_not_options(runner, config_path, tmp_path, args):
+    # lambda and the windows come from the config alone
+    block = tmp_path / "block.csv"
+    block.write_text("t\n")
+    args = [arg.format(block=block) for arg in args]
+    result = runner.invoke(main, [*args, "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args, option", [

@@ -433,6 +433,51 @@ def test_error_row_round_trips_byte_for_byte(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.fixture(scope="module")
+def unpatched_report():
+    return run_experiment(small_cfg())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_scenario_is_an_error_row_and_the_run_goes_on(
+        unpatched_report, tmp_path, monkeypatch, workers):
+    target = unpatched_report.rows[2]          # the second window's first set
+    first = small_cfg().windows[1][0]
+    design_attack = experiment.design_attack
+
+    def failing(window_block, dep, buses):
+        # keyed on the scenario, not on call order, which threads change
+        if (window_block.start_index, tuple(buses)) == (first, target.buses):
+            raise RuntimeError("design failed")
+        return design_attack(window_block, dep, buses)
+
+    monkeypatch.setattr(experiment, "design_attack", failing)
+    report = run_experiment(small_cfg(workers=workers))
+    assert len(report.rows) == len(unpatched_report.rows) == 4
+    for row, unpatched in zip(report.rows, unpatched_report.rows):
+        if row.scenario != target.scenario:
+            assert row == unpatched
+    error = report.rows[2]
+    assert (error.scenario, error.window, error.buses, error.clean_nuclear) == (
+        target.scenario, target.window, target.buses, target.clean_nuclear)
+    assert (error.outcome, error.error, error.flagged_buses) == ("error", "design failed", ())
+    assert all(map(math.isnan, (error.attacked_nuclear, error.ratio,
+                                error.detect_feasibility, error.max_state_column_norm)))
+    others = tuple(r for r in unpatched_report.rows if r.scenario != target.scenario)
+    assert aggregate_rows(report.rows) == aggregate_rows(others)
+    assert report.meta["outcomes"]["error"] == 1
+    assert len(report.seconds) == len(report.rows)
+    assert report.exit_code == 0
+
+    # the saved report passes load_report's aggregate check and writes
+    # back the same bytes; NaN equals nothing, so bytes are compared
+    written = save_report(report, tmp_path / "a")
+    save_report(load_report(tmp_path / "a"), tmp_path / "b")
+    for path in written:
+        if path.name != "timings.csv":
+            assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_records_round_trip_and_reject_foreign_columns(tmp_path):
     rows = (SweepRow(1.05, "designed", "bypassed", (), 0.0),
             SweepRow(2.0, "naive", "detected_within_set", (8, 9), 0.5, error="a,b"))

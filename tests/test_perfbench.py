@@ -42,20 +42,32 @@ def test_every_trace_target_resolves():
     assert unresolved == []
 
 
-def test_naive_unit_runs(tmp_path):
-    out = tmp_path / "detections.json"
+def _run_from_the_root(args):
+    """Run *args* with the interpreter from the repository root, ``src`` on
+    the path, as perfbench's own commands run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_DIR / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, str(BENCH_DIR / "naive.py"), "--seed", "2024",
-         "--detections", "1", "--out", str(out)],
-        cwd=REPO_DIR, env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], cwd=REPO_DIR, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_naive_unit_runs(tmp_path):
+    out = tmp_path / "detections.json"
+    proc = _run_from_the_root([str(BENCH_DIR / "naive.py"), "--seed", "2024",
+                               "--detections", "1", "--out", str(out)])
     assert proc.returncode == 0, proc.stderr
     records = json.loads(out.read_text())
     assert len(records) == 1
     assert records[0]["error"] == ""
+
+
+def test_micro_benchmarks_run():
+    # micro.py calls design_attack(options=), svt on a tall 60 x 41 block
+    # and solve_ac_power_flow with no Newton plan
+    proc = _run_from_the_root(["-m", "pytest", "perfbench/micro.py", "-q",
+                               "-p", "no:cacheprovider", "--benchmark-disable"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_report_parser_reads_a_saved_report(tmp_path, monkeypatch):

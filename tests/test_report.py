@@ -125,7 +125,12 @@ def test_undecodable_table_names_the_file(tmp_path):
     ("# rate_hz: 30", "# rate_hz: nan", "rate_hz"),
     ("# rate_hz: 30", "# rate_hz: -30", "rate_hz"),
     ("# attacked: 0", "# attacked: 5", "attacked"),
-], ids=["nan-entry", "nan-rate", "negative-rate", "attacked-5"])
+    # every writer writes all five metadata lines, so none has a default
+    ("# pmufdi-block: 1\n", "", "missing '# pmufdi-block:' line"),
+    ("# attacked: 0\n", "", "missing '# attacked:' line"),
+    ("# dependency: d\n", "", "missing '# dependency:' line"),
+], ids=["nan-entry", "nan-rate", "negative-rate", "attacked-5",
+        "no-version", "no-attacked", "no-dependency"])
 def test_block_csv_refusal_names_the_file(tmp_path, old, new, cause):
     path = tmp_path / "block.csv"
     write_block_csv(MeasurementBlock(z=np.ones((2, 2), dtype=complex), rate_hz=30.0,
@@ -136,7 +141,7 @@ def test_block_csv_refusal_names_the_file(tmp_path, old, new, cause):
     path.write_text(text.replace(old, new, 1))
     with pytest.raises(ValueError, match=cause) as err:
         read_block_csv(path)
-    assert str(path) in str(err.value)
+    assert str(err.value).count(str(path)) == 1
 
 
 def _file_writes(tree):
